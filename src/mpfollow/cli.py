@@ -8,6 +8,7 @@ import os
 import sys
 
 from . import evaluation, seqio, sim
+from .geometry import GeometryError
 from .pipeline import FollowPipeline
 from .reid import ReidConfig, ReidError
 from .sim import DEFAULT_INTRINSICS, ScenarioError
@@ -117,7 +118,11 @@ def cmd_track(args):
                           reid_enabled=not args.no_reid, seed=args.seed)
     rows = []
     for record in frames:
-        result = pipe.process_frame(record)
+        try:
+            result = pipe.process_frame(record)
+        except (ReidError, GeometryError) as e:
+            raise CliError("schema", f"frame {record.frame_index}: {e}",
+                           EXIT_SCHEMA)
         for tid, x, y, box in result.tracks:
             rows.append({
                 "frame_index": record.frame_index,

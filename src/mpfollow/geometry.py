@@ -11,7 +11,7 @@ All transforms are of the form  p_dst = R @ p_src + t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -100,6 +100,14 @@ class Extrinsics:
     def identity():
         return Extrinsics(np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
 
+    @classmethod
+    def _unchecked(cls, *values):
+        """Skip validation: only for rotations that are valid by construction."""
+        extr = object.__new__(cls)
+        for f, value in zip(fields(cls), values):
+            object.__setattr__(extr, f.name, value)
+        return extr
+
 
 def rotation_z(theta):
     c, s = math.cos(theta), math.sin(theta)
@@ -110,15 +118,19 @@ def robot_pose_extrinsics(x, y, theta, R_robot_cam=None, t_robot_cam=None):
     """Extrinsics for a robot at world pose (x, y, heading theta).
 
     The world->robot transform inverts the robot pose; the camera mount
-    defaults to a forward-looking camera at the robot origin.
+    defaults to a forward-looking camera at the robot origin. Only a
+    caller's R_robot_cam is validated: rotation_z of a finite heading and
+    FORWARD_CAMERA_ROTATION are rotations by construction.
     """
+    if not all(map(math.isfinite, (x, y, theta))):
+        raise GeometryError(f"robot pose ({x}, {y}, {theta}) is not finite")
     R_wr = rotation_z(theta).T
     t_wr = -R_wr @ np.array([x, y, 0.0])
-    if R_robot_cam is None:
-        R_robot_cam = FORWARD_CAMERA_ROTATION
-    if t_robot_cam is None:
-        t_robot_cam = np.zeros(3)
-    return Extrinsics(R_wr, t_wr, R_robot_cam, t_robot_cam)
+    R_rc = (FORWARD_CAMERA_ROTATION if R_robot_cam is None
+            else _check_rotation(R_robot_cam, "R_robot_cam"))
+    t_rc = np.zeros(3) if t_robot_cam is None else (
+        np.asarray(t_robot_cam, dtype=float).reshape(3))
+    return Extrinsics._unchecked(R_wr, t_wr, R_rc, t_rc)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,8 @@ class FollowPipeline:
         dets = DetectionSet([d.box for d in record.detections],
                             record.frame_index, record.timestamp)
         tracks, associations = self.tracker.step(dets)
+        if not self.reid_enabled:
+            return self._result(record, None, associations, {})
 
         by_box = {}
         for d in record.detections:
@@ -81,9 +83,6 @@ class FollowPipeline:
             if det is not None and det.descriptor is not None:
                 track_desc[tid] = self.extractor.extract(det.descriptor)
                 track_person[tid] = det.person_id
-
-        if not self.reid_enabled:
-            return self._result(record, None, associations, {})
 
         scores = {}
         if self.classifier.trained:

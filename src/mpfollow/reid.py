@@ -138,22 +138,22 @@ class RidgeClassifier:
 
 
 def train(clf: RidgeClassifier, sample_set: SampleSet) -> bool:
-    """Fit (w, b) by the normal equations over the sample set.
+    """Fit (w, b) in the centred dual: w = X̃ᵀ(X̃X̃ᵀ + λI)⁻¹(y − ȳ), b = ȳ − x̄·w.
 
-    Returns False (classifier untouched) when either class is missing.
+    One n×n solve for n samples, bias unregularized (Saunders, Gammerman &
+    Vovk, ICML 1998). Returns False, classifier untouched, if a class is missing.
     """
     samples = sample_set.samples()
     labels = np.array([s.label for s in samples])
     if len(samples) == 0 or labels.min() == labels.max():
         return False
     X = np.stack([s.descriptor for s in samples])
-    n, d = X.shape
-    Xa = np.hstack([X, np.ones((n, 1))])
-    reg = clf.lam * np.eye(d + 1)
-    reg[d, d] = 0.0
-    theta = np.linalg.solve(Xa.T @ Xa + reg, Xa.T @ labels)
-    clf.w = theta[:d]
-    clf.b = float(theta[d])
+    x_mean, y_mean = X.mean(axis=0), labels.mean()
+    Xc = X - x_mean
+    alpha = np.linalg.solve(Xc @ Xc.T + clf.lam * np.eye(len(samples)),
+                            labels - y_mean)
+    clf.w = Xc.T @ alpha
+    clf.b = float(y_mean - x_mean @ clf.w)
     return True
 
 

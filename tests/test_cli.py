@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mpfollow
 from mpfollow.cli import EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 
 
@@ -89,6 +94,32 @@ class TestTrack:
         code, _, _ = run(capsys, "track", str(seq), "--no-reid",
                          "-o", str(tmp_path / "t.jsonl"))
         assert code == EXIT_OK
+
+    def test_zero_descriptor_schema_error(self, tmp_path):
+        # A malformed descriptor is bad input: exit 2, no traceback.
+        frames = []
+        for i in range(3):
+            desc = [0.0] * 512 if i == 2 else [1.0] + [0.0] * 511
+            frames.append(json.dumps({
+                "frame_index": i, "timestamp": 0.1 * i,
+                "robot_pose": [0, 0, 0], "detections": [
+                    {"box": [600, 200, 680, 500], "descriptor": desc,
+                     "person_id": 0}]}))
+        seq = tmp_path / "seq.jsonl"
+        seq.write_text('{"format": "mpfollow-seq-1"}\n'
+                       + "\n".join(frames) + "\n")
+        src = str(Path(mpfollow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "mpfollow.cli", "track", str(seq),
+                "-o", str(tmp_path / "t.jsonl")]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_SCHEMA
+        assert "error[schema]: frame 2:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        proc = subprocess.run(argv + ["--no-reid"], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK
 
     def test_print_config(self, tmp_path, capsys, sequence):
         code, stdout, _ = run(capsys, "track", str(sequence),

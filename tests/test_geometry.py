@@ -181,3 +181,26 @@ class TestValidation:
         reflection = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(GeometryError):
             Extrinsics(reflection, np.zeros(3), np.eye(3), np.zeros(3))
+
+    def test_pose_extrinsics_rotations_are_valid(self):
+        # The pose path skips re-validation; its rotations must still pass it.
+        g._check_rotation(g.FORWARD_CAMERA_ROTATION, "forward")
+        for theta in np.linspace(-10.0, 10.0, 41):
+            extr = robot_pose_extrinsics(1.0, -2.0, theta)
+            g._check_rotation(extr.R_world_robot, "R_world_robot")
+            g._check_rotation(extr.R_robot_cam, "R_robot_cam")
+
+    @pytest.mark.parametrize("pose", [(math.nan, 0.0, 0.0),
+                                      (0.0, math.inf, 0.0),
+                                      (0.0, 0.0, math.nan),
+                                      (0.0, 0.0, -math.inf)])
+    def test_pose_extrinsics_rejects_non_finite_pose(self, pose):
+        with pytest.raises(GeometryError):
+            robot_pose_extrinsics(*pose)
+
+    def test_pose_extrinsics_checks_caller_mount(self):
+        with pytest.raises(GeometryError):
+            robot_pose_extrinsics(0.0, 0.0, 0.0, R_robot_cam=np.eye(3) * 2)
+        extr = robot_pose_extrinsics(0.0, 0.0, 0.0, R_robot_cam=np.eye(3),
+                                     t_robot_cam=[0, 0, 1])
+        np.testing.assert_array_equal(extr.t_robot_cam, [0.0, 0.0, 1.0])

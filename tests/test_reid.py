@@ -47,6 +47,17 @@ def ridge_gradient_descent(X, labels, lam, lr=None, iters=200000, tol=1e-12):
     return w, b
 
 
+def stacked_lstsq_ridge(X, labels, lam):
+    """Independent direct solver: least squares over [[X, 1], [sqrt(lam) I, 0]],
+    whose normal equations are those of the free-bias ridge objective."""
+    n, d = X.shape
+    A = np.block([[X, np.ones((n, 1))],
+                  [math.sqrt(lam) * np.eye(d), np.zeros((d, 1))]])
+    theta = np.linalg.lstsq(A, np.concatenate([labels, np.zeros(d)]),
+                            rcond=None)[0]
+    return theta[:d], theta[d]
+
+
 def make_sample(v, label, frame=0, tid=0):
     return AppearanceSample(normalize_descriptor(v), label, frame, tid)
 
@@ -221,6 +232,53 @@ class TestTrain:
         grad_b = 2 * resid.sum()
         np.testing.assert_allclose(grad_w, 0.0, atol=1e-6)
         assert abs(grad_b) < 1e-6
+
+
+    @pytest.mark.parametrize("n", [2, 17, 64])
+    def test_pipeline_dimension_matches_stacked_lstsq(self, n):
+        # The pipeline's shape: unit descriptors of d = 512, n <= capacity.
+        rng = np.random.default_rng(n)
+        labels = np.arange(n) % 2
+        samples = [make_sample(rng.normal(size=512), int(l), i, i)
+                   for i, l in enumerate(labels)]
+        ss = fill(SampleSet(64), samples)
+        clf = RidgeClassifier(lam=1e-2)
+        assert train(clf, ss)
+        X = np.stack([s.descriptor for s in samples])
+        w_ref, b_ref = stacked_lstsq_ridge(X, labels.astype(float), 1e-2)
+        np.testing.assert_allclose(clf.w, w_ref, rtol=0, atol=1e-8)
+        assert clf.b == pytest.approx(b_ref, rel=0, abs=1e-8)
+
+    def test_slt_duplicate_rows_match_stacked_lstsq(self):
+        # Target samples sit in both the FIFO and the reservoir, so the
+        # stacked descriptor matrix repeats rows.
+        rng = np.random.default_rng(7)
+        ss = SampleSet(16, "SLT", rng=np.random.default_rng(0))
+        for i in range(6):
+            fill(ss, [make_sample(rng.normal(size=512), 1, i, 0),
+                      make_sample(rng.normal(size=512), 0, i, 1)])
+        samples = ss.samples()
+        X = np.stack([s.descriptor for s in samples])
+        assert len(np.unique(X, axis=0)) < len(X)
+        clf = RidgeClassifier(lam=1e-2)
+        assert train(clf, ss)
+        labels = np.array([s.label for s in samples], dtype=float)
+        w_ref, b_ref = stacked_lstsq_ridge(X, labels, 1e-2)
+        np.testing.assert_allclose(clf.w, w_ref, rtol=0, atol=1e-8)
+        assert clf.b == pytest.approx(b_ref, rel=0, abs=1e-8)
+
+    def test_fit_assigns_new_weights_and_refusal_keeps_them(self):
+        ss = fill(SampleSet(8), [make_sample([1, 0, 0], 1),
+                                 make_sample([0, 1, 0], 0)])
+        clf = RidgeClassifier()
+        assert train(clf, ss)
+        w_first = clf.w
+        fill(ss, [make_sample([0, 0, 1], 0)])
+        assert train(clf, ss)
+        assert clf.w is not w_first
+        w, b = clf.w, clf.b
+        assert not train(clf, fill(SampleSet(8), [make_sample([1, 1, 0], 1)]))
+        assert clf.w is w and clf.b == b and clf.trained
 
 
 class TestScore:
