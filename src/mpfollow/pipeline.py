@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, reid
-from .geometry import CameraIntrinsics, Extrinsics
+from .geometry import CameraIntrinsics
 from .reid import (
     FollowerMode,
     FollowerState,
@@ -51,7 +51,9 @@ class FollowPipeline:
         self.reid_cfg = reid_cfg or ReidConfig()
         self.reid_enabled = reid_enabled
         self.target_person_id = target_person_id
-        self.tracker = Tracker(intr, Extrinsics.identity(), self.tracker_cfg)
+        # Without a robot_pose the robot stays at the origin, camera forward.
+        self.tracker = Tracker(intr, geometry.robot_pose_extrinsics(0, 0, 0),
+                               self.tracker_cfg)
         self.extractor = PassthroughExtractor(self.reid_cfg.descriptor_dim)
         self.sample_set = SampleSet(
             self.reid_cfg.capacity, self.reid_cfg.mode,
@@ -69,18 +71,16 @@ class FollowPipeline:
 
         dets = DetectionSet([d.box for d in record.detections],
                             record.frame_index, record.timestamp)
-        tracks, associations = self.tracker.step(dets)
+        _, matched = self.tracker.step(dets)
+        associations = {tid: record.detections[k].box
+                        for tid, k in matched.items()}
         if not self.reid_enabled:
             return self._result(record, None, associations, {})
 
-        by_box = {}
-        for d in record.detections:
-            key = (d.box.u_tl, d.box.v_tl, d.box.u_br, d.box.v_br)
-            by_box[key] = d
         track_desc, track_person = {}, {}
-        for tid, box in associations.items():
-            det = by_box.get((box.u_tl, box.v_tl, box.u_br, box.v_br))
-            if det is not None and det.descriptor is not None:
+        for tid, k in matched.items():
+            det = record.detections[k]
+            if det.descriptor is not None:
                 track_desc[tid] = self.extractor.extract(det.descriptor)
                 track_person[tid] = det.person_id
 
@@ -163,16 +163,3 @@ class FollowPipeline:
             target_position=target_pos,
             tracks=rows,
             scores=scores)
-
-    def target_in_robot_frame(self, robot_pose):
-        """Target position in the robot frame, or None; feeds the controller."""
-        tid = self.state.target_track_id
-        if tid is None:
-            return None
-        for t in self.tracker.tracks:
-            if t.id == tid:
-                x, y, theta = robot_pose
-                R = geometry.rotation_z(theta).T
-                p = R @ np.array([t.s[0] - x, t.s[1] - y, 0.0])
-                return p[:2]
-        return None

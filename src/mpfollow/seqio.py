@@ -107,10 +107,15 @@ def record_to_frame(rec: dict, path="<sequence>", line=0) -> FrameRecord:
         if len(pose) != 3:
             fail("robot_pose", "expected [x, y, theta]")
         pose = tuple(float(v) for v in pose)
+    try:
+        timestamp = float(rec["timestamp"])
+    except (TypeError, ValueError):
+        fail("timestamp", "expected a number")
+    if not math.isfinite(timestamp):
+        fail("timestamp", f"{timestamp} is not finite")
     gt = {int(pid): tuple(pos)
           for pid, pos in (rec.get("ground_truth") or {}).items()}
-    return FrameRecord(int(rec["frame_index"]), float(rec["timestamp"]),
-                       detections, pose, gt)
+    return FrameRecord(int(rec["frame_index"]), timestamp, detections, pose, gt)
 
 
 def read_sequence(path):
@@ -129,7 +134,12 @@ def read_sequence(path):
                     raise SchemaError(
                         f"{path}:1: unsupported format '{rec['format']}'")
                 continue
-            frames.append(record_to_frame(rec, path, lineno))
+            frame = record_to_frame(rec, path, lineno)
+            if frames and not frame.timestamp > frames[-1].timestamp:
+                raise SchemaError(
+                    f"{path}:{lineno}: field 'timestamp': {frame.timestamp} "
+                    f"is not after the previous frame's {frames[-1].timestamp}")
+            frames.append(frame)
     if not frames:
         raise SchemaError(f"{path}: no frames")
     return frames

@@ -121,6 +121,22 @@ class TestTrack:
                               capture_output=True, text=True)
         assert proc.returncode == EXIT_OK
 
+    def test_stuck_timestamps_schema_error(self, tmp_path, capsys, sequence):
+        # Timestamps that stop increasing are refused at load with exit 2,
+        # not tracked with a made-up frame interval.
+        lines = sequence.read_text().splitlines()
+        for n in range(21, len(lines)):
+            rec = json.loads(lines[n])
+            rec["timestamp"] = 1.0
+            lines[n] = json.dumps(rec)
+        seq = tmp_path / "stuck.jsonl"
+        seq.write_text("\n".join(lines) + "\n")
+        code, _, stderr = run(capsys, "track", str(seq),
+                              "-o", str(tmp_path / "t.jsonl"))
+        assert code == EXIT_SCHEMA
+        assert f"{seq}:22: field 'timestamp':" in stderr
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_print_config(self, tmp_path, capsys, sequence):
         code, stdout, _ = run(capsys, "track", str(sequence),
                               "--capacity", "32", "--mode", "SLT",

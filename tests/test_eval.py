@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from mpfollow.evaluation import (
     reid_precision,
     run_experiment,
 )
-from mpfollow.sim import builtin_scenarios
+from mpfollow.sim import builtin_scenarios, generate
 
 
 class TestReidPrecision:
@@ -121,3 +122,18 @@ class TestRunExperiment:
         for line in lines:
             key, value = line.split(" ", 1)
             assert key and value
+
+    def test_sequence_without_robot_pose_is_a_static_robot(self):
+        # A static robot's frames with robot_pose removed must track as
+        # well as with it: the pipeline starts at the origin, camera forward.
+        sc = builtin_scenarios()["lab_corridor_like"]
+        frames = generate(sc, 0)
+        posed, _, posed_trace = run_experiment(frames, seed=0)
+        bare, _, bare_trace = run_experiment(
+            [dataclasses.replace(f, robot_pose=None) for f in frames], seed=0)
+        assert posed.ap > 0.9
+        assert bare.ap == posed.ap
+        assert [(r["mode"], r["target_track_id"], r["est_center"],
+                 r["n_tracks"]) for r in bare_trace] == \
+            [(r["mode"], r["target_track_id"], r["est_center"],
+              r["n_tracks"]) for r in posed_trace]

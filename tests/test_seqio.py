@@ -85,6 +85,26 @@ class TestSequenceErrors:
             read_sequence(str(p))
 
 
+    @pytest.mark.parametrize("second", ["NaN", "Infinity", "0.1", "0.05",
+                                        '"soon"'])
+    def test_bad_timestamp_rejected(self, tmp_path, second):
+        # Non-finite, repeated, decreasing or non-numeric timestamps are
+        # refused at load, naming the line and the field.
+        p = tmp_path / "bad.jsonl"
+        p.write_text('{"format": "mpfollow-seq-1"}\n'
+                     '{"frame_index": 0, "timestamp": 0.1, "detections": []}\n'
+                     f'{{"frame_index": 1, "timestamp": {second}, '
+                     '"detections": []}\n')
+        with pytest.raises(SchemaError, match=":3: field 'timestamp'"):
+            read_sequence(str(p))
+
+    def test_increasing_timestamps_accepted(self, tmp_path):
+        p = tmp_path / "ok.jsonl"
+        p.write_text('{"frame_index": 0, "timestamp": -1.0, "detections": []}\n'
+                     '{"frame_index": 1, "timestamp": 0.25, "detections": []}\n')
+        assert [f.timestamp for f in read_sequence(str(p))] == [-1.0, 0.25]
+
+
 class TestCalibration:
     def test_load_minimal(self, tmp_path):
         p = tmp_path / "calib.yaml"

@@ -1,13 +1,21 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from mpfollow import sim
-from mpfollow.geometry import BoundingBox, iou, robot_pose_extrinsics
+from mpfollow.geometry import (
+    BoundingBox,
+    InvalidDetectionError,
+    iou,
+    process_measurement,
+    robot_pose_extrinsics,
+)
 from mpfollow.tracker import (
     DetectionSet,
     Tracker,
@@ -151,6 +159,11 @@ class TestAssociate:
 
     def test_empty_inputs(self):
         assert associate([], [], self.H, 1.0) == ([], [], [])
+
+    def test_nonfinite_cost_rejected(self):
+        tracks = [make_track(1, [0, 0, 0, 0])]
+        with pytest.raises(ValueError):
+            associate(tracks, [np.array([np.nan, 0.0])], self.H, 1.0)
 
     def test_matches_exhaustive_on_random_instances(self):
         rng = np.random.default_rng(12)
@@ -319,3 +332,182 @@ class TestStep:
         for k in range(3):
             tracks, _ = tr.step(DetectionSet([good], k, k / 30))
         assert len(tr.tracks) == 1
+
+
+# Reference: the tracker as one Kalman filter per track, each predicted,
+# associated and updated on its own with plain 2-D algebra.
+
+def reference_predict(track, dt, cfg):
+    F = np.eye(4)
+    F[0, 2] = F[1, 3] = dt
+    sp, sv = cfg.process_noise_std
+    P = F @ track.P @ F.T + np.diag([sp**2, sp**2, sv**2, sv**2]) * dt
+    return replace(track, s=F @ track.s, P=0.5 * (P + P.T))
+
+
+def reference_update(track, y, H, measurement_noise_std):
+    R = np.eye(2) * measurement_noise_std**2
+    innovation = y - H @ track.s
+    if not np.all(np.isfinite(innovation)):
+        return replace(track, valid=False)
+    K = track.P @ H.T @ np.linalg.inv(H @ track.P @ H.T + R)
+    I_KH = np.eye(4) - K @ H
+    P = I_KH @ track.P @ I_KH.T + K @ R @ K.T
+    return replace(track, s=track.s + K @ innovation, P=0.5 * (P + P.T))
+
+
+def reference_associate(tracks, measurements, H, gate):
+    if not tracks or not measurements:
+        return [], list(range(len(tracks))), list(range(len(measurements)))
+    cost = np.zeros((len(tracks), len(measurements)))
+    for i, t in enumerate(tracks):
+        expected = H @ t.s
+        for j, y in enumerate(measurements):
+            d = expected - y
+            cost[i, j] = d @ d
+    rows, cols = linear_sum_assignment(cost)
+    pairs = [(i, j) for i, j in zip(rows, cols) if cost[i, j] <= gate * gate]
+    unmatched_t = [i for i in range(len(tracks)) if i not in {p[0] for p in pairs}]
+    unmatched_m = [j for j in range(len(measurements))
+                   if j not in {p[1] for p in pairs}]
+    return pairs, unmatched_t, unmatched_m
+
+
+class ReferenceTracker(Tracker):
+    """Tracker.step as a loop over tracks; associations map id -> box."""
+
+    def step(self, dets):
+        cfg = self.cfg
+        dt = cfg.default_dt
+        if self._last_timestamp is not None:
+            dt = dets.timestamp - self._last_timestamp
+        self._last_timestamp = dets.timestamp
+        measurements, boxes = [], []
+        for box in brute_force_filter(dets.boxes, cfg.delta_iou):
+            try:
+                measurements.append(
+                    process_measurement(box, self.intr, self.extr, cfg.r_body))
+                boxes.append(box)
+            except InvalidDetectionError:
+                continue
+        self.tracks = [reference_predict(t, dt, cfg) for t in self.tracks]
+        for t in self.tracks:
+            t.age += 1
+        pairs, unmatched_t, unmatched_m = reference_associate(
+            self.tracks, measurements, self.H, cfg.gate_distance)
+        associations = {}
+        for i, j in pairs:
+            t = reference_update(self.tracks[i], measurements[j], self.H,
+                                 cfg.measurement_noise_std)
+            t.missed, t.hits, t.last_box = 0, t.hits + 1, boxes[j]
+            self.tracks[i] = t
+            if t.valid and t.confirmed(cfg.min_hits):
+                associations[t.id] = boxes[j]
+        for i in unmatched_t:
+            self.tracks[i].missed += 1
+            if not self.tracks[i].confirmed(cfg.min_hits):
+                self.tracks[i].valid = False
+        for j in unmatched_m:
+            self.tracks.append(self._new_track(measurements[j], boxes[j]))
+        self.tracks = [t for t in self.tracks
+                       if t.valid and t.missed <= cfg.max_missed]
+        return self.tracks, associations
+
+
+def busy_scene():
+    """Five people ahead of a turning robot: two cross, one is hidden long
+    enough for its track to die and be reborn, one walks out of view."""
+    peds = [
+        sim.Pedestrian(id=0, waypoints=[(0.0, 3.5, 1.2), (12.0, 4.0, -1.2)]),
+        sim.Pedestrian(id=1, waypoints=[(0.0, 3.5, -1.2), (12.0, 4.0, 1.2)]),
+        sim.Pedestrian(id=2, waypoints=[(0.0, 5.0, 0.2), (12.0, 6.0, 0.0)]),
+        sim.Pedestrian(id=3, waypoints=[(0.0, 2.5, -0.4), (12.0, 3.0, -0.3)]),
+        sim.Pedestrian(id=4, waypoints=[(0.0, 4.5, 1.8), (6.0, 2.5, 6.0),
+                                        (12.0, 2.5, 6.0)]),
+    ]
+    robot = sim.RobotPath([(0.0, 0.0, 0.0, 0.0), (12.0, 1.0, 0.2, 0.15)])
+    return sim.Scenario("busy", peds, robot, duration=12.0, frame_rate=10.0,
+                        box_pixel_std=0.5, descriptor_dim=8,
+                        occlusions=[sim.OcclusionEvent(3, 2.0, 6.5)])
+
+
+class TestBatchedEquivalence:
+    """Tracker.step runs all tracks as one stacked Kalman bank; it must give
+    exactly the same numbers as the per-track loop."""
+
+    def test_step_matches_per_track_loop(self, wide_intr):
+        cfg = TrackerConfig()
+        extr = robot_pose_extrinsics(0, 0, 0)
+        batched = Tracker(wide_intr, extr, cfg)
+        reference = ReferenceTracker(wide_intr, extr, cfg)
+        seen, born, coasted_out, dropped, matched = set(), set(), set(), 0, 0
+        last_missed = {}
+        for f in sim.generate(busy_scene(), 0):
+            pose_extr = robot_pose_extrinsics(*f.robot_pose)
+            batched.set_extrinsics(pose_extr)
+            reference.set_extrinsics(pose_extr)
+            dets = DetectionSet([d.box for d in f.detections],
+                                f.frame_index, f.timestamp)
+            tracks, assoc = batched.step(dets)
+            ref_tracks, ref_assoc = reference.step(dets)
+
+            assert [t.id for t in tracks] == [t.id for t in ref_tracks]
+            for t, r in zip(tracks, ref_tracks):
+                assert np.array_equal(t.s, r.s)
+                assert np.array_equal(t.P, r.P)
+                assert (t.hits, t.missed, t.age, t.last_box) == \
+                    (r.hits, r.missed, r.age, r.last_box)
+            assert {tid: dets.boxes[k] for tid, k in assoc.items()} == ref_assoc
+
+            ids = {t.id for t in tracks}
+            if f.frame_index > 0:
+                born |= ids - seen
+            seen |= ids
+            coasted_out |= {tid for tid, missed in last_missed.items()
+                            if tid not in ids and missed == cfg.max_missed}
+            last_missed = {t.id: t.missed for t in tracks}
+            dropped += len(dets.boxes) - len(
+                filter_overlaps(dets, cfg.delta_iou).boxes)
+            matched += len(assoc)
+        # The scene exercises what the bank must get right: births after
+        # the first frame, confirmed tracks that coast until they die, and
+        # crossings that the overlap filter drops.
+        assert len(born) >= 2 and len(coasted_out) >= 2
+        assert dropped >= 4 and matched >= 300
+
+    def test_associate_matches_scipy_loop(self):
+        # Positions on a small integer grid make many costs tie exactly:
+        # ties must be broken as scipy.optimize.linear_sum_assignment does.
+        H = TestAssociate.H
+        rng = np.random.default_rng(8)
+        for k in range(2000):
+            n, m = rng.integers(1, 9, size=2)
+            if k % 2:
+                tracks = [make_track(i, rng.integers(-2, 3, size=4))
+                          for i in range(n)]
+                ms = [rng.integers(-2, 3, size=2).astype(float)
+                      for _ in range(m)]
+            else:
+                tracks = [make_track(i, rng.normal(scale=2, size=4))
+                          for i in range(n)]
+                ms = [rng.normal(scale=2, size=2) for _ in range(m)]
+            gate = float(rng.choice([0.5, 2.0, 1e9]))
+            assert associate(tracks, ms, H, gate) == \
+                reference_associate(tracks, ms, H, gate)
+
+    def test_one_track_calls_match_plain_algebra(self):
+        cfg = TrackerConfig()
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            A = rng.normal(size=(4, 4))
+            t = make_track(1, rng.normal(scale=3, size=4), P=A @ A.T)
+            theta = rng.uniform(-math.pi, math.pi)
+            H = np.zeros((2, 4))
+            H[:, :2] = [[-math.sin(theta), math.cos(theta)],
+                        [math.cos(theta), math.sin(theta)]]
+            dt = rng.uniform(0.01, 0.5)
+            y = rng.normal(scale=3, size=2)
+            for got, want in ((predict(t, dt, cfg), reference_predict(t, dt, cfg)),
+                              (update(t, y, H, 0.1), reference_update(t, y, H, 0.1))):
+                assert np.array_equal(got.s, want.s)
+                assert np.array_equal(got.P, want.P)
