@@ -45,35 +45,31 @@ def _out_dir(args):
     return args.out_dir or os.environ.get("MPFOLLOW_OUT_DIR", ".")
 
 
+def _given(**flags):
+    """The config flags set on the command line, as keyword arguments."""
+    return {name: v for name, v in flags.items() if v is not None}
+
+
 def _tracker_config(args):
-    kwargs = {}
-    if getattr(args, "delta_iou", None) is not None:
-        kwargs["delta_iou"] = args.delta_iou
-    if getattr(args, "r_body", None) is not None:
-        kwargs["r_body"] = args.r_body
-    return TrackerConfig(**kwargs)
+    return TrackerConfig(**_given(delta_iou=args.delta_iou,
+                                  r_body=args.r_body))
 
 
 def _reid_config(args):
-    kwargs = {}
-    for flag, name in (("delta_switch", "delta_switch"),
-                       ("delta_id", "delta_id"), ("n_id", "n_id"),
-                       ("capacity", "capacity"), ("mode", "mode"),
-                       ("lam", "lam")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            kwargs[name] = v
     try:
-        return ReidConfig(**kwargs)
+        return ReidConfig(**_given(
+            delta_switch=args.delta_switch, delta_id=args.delta_id,
+            n_id=args.n_id, capacity=args.capacity, mode=args.mode,
+            lam=args.lam))
     except ReidError as e:
         raise CliError("config", str(e), EXIT_USAGE)
 
 
 def _print_config(args, tracker_cfg, reid_cfg):
-    if getattr(args, "print_config", False):
+    if args.print_config:
         resolved = {"tracker": vars(tracker_cfg) | {
             "process_noise_std": list(tracker_cfg.process_noise_std)},
-            "reid": vars(reid_cfg), "seed": getattr(args, "seed", 0)}
+            "reid": vars(reid_cfg), "seed": args.seed}
         print(json.dumps(resolved, indent=2, sort_keys=True))
 
 
@@ -215,40 +211,34 @@ def build_parser():
     g.add_argument("-o", "--out", required=True)
     g.set_defaults(func=cmd_generate)
 
-    t = sub.add_parser("track", help="run the tracker over a sequence file")
+    # Flags that track and experiment share.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out-dir")
+    common.add_argument("--delta-iou", type=float)
+    common.add_argument("--r-body", type=float)
+    common.add_argument("--delta-switch", type=float)
+    common.add_argument("--delta-id", type=float)
+    common.add_argument("--n-id", type=int)
+    common.add_argument("--capacity", type=int)
+    common.add_argument("--mode", choices=("ST", "SLT"))
+    common.add_argument("--lam", type=float)
+    common.add_argument("--print-config", action="store_true")
+
+    t = sub.add_parser("track", parents=[common],
+                       help="run the tracker over a sequence file")
     t.add_argument("sequence")
     t.add_argument("--calibration")
-    t.add_argument("--seed", type=int, default=0)
     t.add_argument("--no-reid", action="store_true",
                    help="disable re-identification (pure tracking)")
     t.add_argument("--target-person", type=int, default=0)
-    t.add_argument("--delta-iou", type=float)
-    t.add_argument("--r-body", type=float)
-    t.add_argument("--delta-switch", type=float)
-    t.add_argument("--delta-id", type=float)
-    t.add_argument("--n-id", type=int)
-    t.add_argument("--capacity", type=int)
-    t.add_argument("--mode", choices=("ST", "SLT"))
-    t.add_argument("--lam", type=float)
     t.add_argument("-o", "--out")
-    t.add_argument("--out-dir")
-    t.add_argument("--print-config", action="store_true")
     t.set_defaults(func=cmd_track)
 
-    e = sub.add_parser("experiment", help="run a named experiment")
+    e = sub.add_parser("experiment", parents=[common],
+                       help="run a named experiment")
     e.add_argument("name", help="st-sweep | slt-vs-st | range-accuracy | "
                                 "<built-in scenario name>")
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--out-dir")
-    e.add_argument("--delta-iou", type=float)
-    e.add_argument("--r-body", type=float)
-    e.add_argument("--delta-switch", type=float)
-    e.add_argument("--delta-id", type=float)
-    e.add_argument("--n-id", type=int)
-    e.add_argument("--capacity", type=int)
-    e.add_argument("--mode", choices=("ST", "SLT"))
-    e.add_argument("--lam", type=float)
-    e.add_argument("--print-config", action="store_true")
     e.set_defaults(func=cmd_experiment)
 
     v = sub.add_parser("validate-config", help="validate a config file")

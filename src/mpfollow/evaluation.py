@@ -1,7 +1,7 @@
 """Evaluation harness: re-ID precision, range-error statistics, experiments.
 
 Re-ID quality is the fraction of ground-truth frames whose estimated
-target box center falls within a pixel threshold of the ground-truth
+target box center falls within 50 px (THRESHOLD_PX) of the ground-truth
 center; frames without an estimate count as failures. Range accuracy is
 the absolute range error binned by true range.
 """
@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pipeline import FollowPipeline
-from .reid import ReidConfig
-from .sim import Scenario, generate
-from .tracker import TrackerConfig
+from .sim import DEFAULT_INTRINSICS, Scenario, generate
 
 METRICS_FORMAT = "mpfollow-metrics-1"
-DEFAULT_THRESHOLD_PX = 50.0
+THRESHOLD_PX = 50.0
 RANGE_BINS = [(0.5, 1.0)] + [(float(a), float(a + 1)) for a in range(1, 7)]
 
 
@@ -32,7 +30,6 @@ class EvaluationError(ValueError):
 @dataclass
 class ReidResult:
     frames: list                      # (frame_index, est_center, gt_center)
-    threshold_px: float = DEFAULT_THRESHOLD_PX
     precision: dict = field(default_factory=dict)
     ap: float = 0.0
 
@@ -119,9 +116,7 @@ def _estimated_range(result, record):
 
 
 def run_experiment(source, tracker_cfg=None, reid_cfg=None, seed=0,
-                   reid_enabled=True, threshold_px=DEFAULT_THRESHOLD_PX,
-                   thresholds=None, out_dir=None, intrinsics=None,
-                   range_track_id_fallback=True):
+                   reid_enabled=True, out_dir=None):
     """Run the full pipeline over a scenario or pre-generated frames.
 
     Returns (ReidResult, RangeErrorStats, trace) where trace is the list
@@ -130,15 +125,13 @@ def run_experiment(source, tracker_cfg=None, reid_cfg=None, seed=0,
     if isinstance(source, Scenario):
         frames = generate(source, seed)
         target_id = source.target_id
-        intr = intrinsics or source.intrinsics
+        intr = source.intrinsics
     else:
         frames = source
         target_id = 0
-        from .sim import DEFAULT_INTRINSICS
-        intr = intrinsics or DEFAULT_INTRINSICS
+        intr = DEFAULT_INTRINSICS
 
-    pipe = FollowPipeline(intr, tracker_cfg or TrackerConfig(),
-                          reid_cfg or ReidConfig(),
+    pipe = FollowPipeline(intr, tracker_cfg, reid_cfg,
                           target_person_id=target_id,
                           reid_enabled=reid_enabled, seed=seed)
 
@@ -151,14 +144,13 @@ def run_experiment(source, tracker_cfg=None, reid_cfg=None, seed=0,
 
         true_range = _true_range(record, target_id)
         est_range = _estimated_range(result, record)
-        if est_range is None and range_track_id_fallback and result.tracks:
+        if est_range is None and true_range is not None and result.tracks:
             # Range accuracy is a tracker property; with re-ID disabled (or
             # before designation) fall back to the track nearest in range.
-            if true_range is not None and record.robot_pose is not None:
-                rx, ry, _ = record.robot_pose
-                ranges = [math.hypot(x - rx, y - ry)
-                          for _, x, y, _ in result.tracks]
-                est_range = min(ranges, key=lambda r: abs(r - true_range))
+            rx, ry, _ = record.robot_pose
+            ranges = [math.hypot(x - rx, y - ry)
+                      for _, x, y, _ in result.tracks]
+            est_range = min(ranges, key=lambda r: abs(r - true_range))
         if true_range is not None:
             range_pairs.append((est_range, true_range))
 
@@ -173,10 +165,8 @@ def run_experiment(source, tracker_cfg=None, reid_cfg=None, seed=0,
             "n_tracks": len(result.tracks),
         })
 
-    thresholds = thresholds or [threshold_px]
-    precision = reid_precision(reid_frames, thresholds)
-    reid_result = ReidResult(reid_frames, threshold_px, precision,
-                             ap=precision[float(threshold_px)])
+    precision = reid_precision(reid_frames, [THRESHOLD_PX])
+    reid_result = ReidResult(reid_frames, precision, ap=precision[THRESHOLD_PX])
     stats = range_error_stats(range_pairs)
 
     if out_dir is not None:
@@ -187,7 +177,7 @@ def run_experiment(source, tracker_cfg=None, reid_cfg=None, seed=0,
 def metrics_text(reid_result: ReidResult, stats: RangeErrorStats) -> str:
     """Flat key-value rendering of the metrics (deterministic)."""
     lines = [f"format {METRICS_FORMAT}"]
-    lines.append(f"precision_threshold_px {reid_result.threshold_px:g}")
+    lines.append(f"precision_threshold_px {THRESHOLD_PX:g}")
     lines.append(f"ap {reid_result.ap:.6f}")
     for t in sorted(reid_result.precision):
         lines.append(f"precision@{t:g}px {reid_result.precision[t]:.6f}")

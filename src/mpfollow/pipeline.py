@@ -54,7 +54,7 @@ class FollowPipeline:
         # Without a robot_pose the robot stays at the origin, camera forward.
         self.tracker = Tracker(intr, geometry.robot_pose_extrinsics(0, 0, 0),
                                self.tracker_cfg)
-        self.extractor = PassthroughExtractor(self.reid_cfg.descriptor_dim)
+        self.extractor = PassthroughExtractor()
         self.sample_set = SampleSet(
             self.reid_cfg.capacity, self.reid_cfg.mode,
             self.reid_cfg.long_term_fraction,
@@ -121,8 +121,6 @@ class FollowPipeline:
         return None
 
     def _learn(self, target_tid, track_desc, frame_index, associations):
-        if target_tid not in track_desc:
-            return
         order = self._negatives_by_image_distance(target_tid, associations)
         samples = reid.label_frame_samples(
             target_tid, track_desc, frame_index,
@@ -148,12 +146,11 @@ class FollowPipeline:
         for t in self.tracker.confirmed_tracks():
             box = associations.get(t.id)
             rows.append((t.id, float(t.s[0]), float(t.s[1]), box))
-        target_box = associations.get(target) if target is not None else None
-        target_pos = None
-        if target is not None:
-            for t in self.tracker.tracks:
-                if t.id == target:
-                    target_pos = (float(t.s[0]), float(t.s[1]))
+        # A target is always a track matched this frame, so it has a row.
+        target_box = target_pos = None
+        for tid, x, y, box in rows:
+            if tid == target:
+                target_box, target_pos = box, (x, y)
         return FrameResult(
             frame_index=record.frame_index,
             timestamp=record.timestamp,

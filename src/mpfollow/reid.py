@@ -58,9 +58,7 @@ class ReidConfig:
     capacity: int = 64
     mode: str = "ST"                 # "ST" or "SLT"
     long_term_fraction: float = 0.5
-    descriptor_dim: int = 512
     max_negatives_per_frame: int = 3
-    extractor: str = "passthrough"
 
     def __post_init__(self):
         if self.mode not in ("ST", "SLT"):
@@ -80,7 +78,6 @@ class SampleSet:
     """
 
     def __init__(self, capacity, mode="ST", long_term_fraction=0.5, rng=None):
-        self.capacity = capacity
         self.mode = mode
         if mode == "SLT":
             self.long_capacity = int(long_term_fraction * capacity)
@@ -107,10 +104,6 @@ class SampleSet:
             if k < self.long_capacity:
                 self.long_term[k] = sample
 
-    def extend(self, samples):
-        for s in samples:
-            self.add(s)
-
     def samples(self):
         return list(self.short_term) + list(self.long_term)
 
@@ -120,7 +113,8 @@ class SampleSet:
 
 def update_samples(sample_set: SampleSet, samples) -> SampleSet:
     """Insert labeled samples, honoring the FIFO/reservoir policy in place."""
-    sample_set.extend(samples)
+    for s in samples:
+        sample_set.add(s)
     return sample_set
 
 
@@ -245,13 +239,20 @@ def label_frame_samples(target_track_id, track_descriptors, frame_index,
 
 
 class PassthroughExtractor:
-    """Normalizes precomputed descriptor vectors carried by sequence files."""
+    """Normalizes precomputed descriptor vectors carried by sequence files.
 
-    def __init__(self, dim=512):
-        self.dim = dim
+    The first descriptor it normalizes fixes the dimension; a later one of
+    another length is refused.
+    """
+
+    def __init__(self):
+        self.dim = None
 
     def extract(self, vector):
-        return normalize_descriptor(vector, self.dim)
+        v = normalize_descriptor(vector, self.dim)
+        if self.dim is None:
+            self.dim = v.size
+        return v
 
 
 class SyntheticExtractor:
@@ -321,11 +322,3 @@ def _slerp(a, b, t):
         return a.copy()
     so = math.sin(omega)
     return (math.sin((1 - t) * omega) / so) * a + (math.sin(t * omega) / so) * b
-
-
-def make_extractor(name, dim=512, **kwargs):
-    if name == "passthrough":
-        return PassthroughExtractor(dim)
-    if name == "synthetic":
-        return SyntheticExtractor(dim=dim, **kwargs)
-    raise ReidError(f"unknown extractor '{name}'")

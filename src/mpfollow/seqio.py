@@ -179,26 +179,37 @@ def _parse_rotation(value, field):
     return np.array(vals).reshape(3, 3)
 
 
-def load_calibration(path):
-    """Read a calibration YAML file into (CameraIntrinsics, Extrinsics)."""
+def _read_yaml(path):
     with open(path) as f:
         try:
-            data = yaml.safe_load(f)
+            return yaml.safe_load(f)
         except yaml.YAMLError as e:
             raise SchemaError(f"{path}: invalid YAML: {e}") from e
-    if not isinstance(data, dict) or "intrinsics" not in data:
-        raise SchemaError(f"{path}: field 'intrinsics': missing")
-    intr = data["intrinsics"]
+
+
+def _parse_intrinsics(intr) -> CameraIntrinsics:
+    """The 'intrinsics' mapping of a calibration or scenario file."""
     for field in ("f_x", "f_y", "c_x", "c_y", "image_width", "image_height"):
         if field not in intr:
-            raise SchemaError(f"{path}: field 'intrinsics.{field}': missing")
+            raise SchemaError(f"field 'intrinsics.{field}': missing")
     try:
-        intrinsics = CameraIntrinsics(
+        return CameraIntrinsics(
             float(intr["f_x"]), float(intr["f_y"]),
             float(intr["c_x"]), float(intr["c_y"]),
             int(intr["image_width"]), int(intr["image_height"]))
     except GeometryError as e:
-        raise SchemaError(f"{path}: intrinsics: {e}") from e
+        raise SchemaError(f"intrinsics: {e}") from e
+
+
+def load_calibration(path):
+    """Read a calibration YAML file into (CameraIntrinsics, Extrinsics)."""
+    data = _read_yaml(path)
+    if not isinstance(data, dict) or "intrinsics" not in data:
+        raise SchemaError(f"{path}: field 'intrinsics': missing")
+    try:
+        intrinsics = _parse_intrinsics(data["intrinsics"])
+    except SchemaError as e:
+        raise SchemaError(f"{path}: {e}") from e
 
     extr = data.get("extrinsics") or {}
     try:
@@ -218,17 +229,20 @@ def load_calibration(path):
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as f:
-        try:
-            data = yaml.safe_load(f)
-        except yaml.YAMLError as e:
-            raise SchemaError(f"{path}: invalid YAML: {e}") from e
+    data = _read_yaml(path)
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: expected a mapping at the top level")
     try:
         return scenario_from_dict(data)
     except (ScenarioError, KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"{path}: {e}") from e
+
+
+def _present(data, types):
+    """The keys of data named in types, each converted by its type; a key
+    the file leaves out keeps the default of the class it is passed to."""
+    return {key: convert(data[key]) for key, convert in types.items()
+            if key in data}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -239,39 +253,27 @@ def scenario_from_dict(data: dict) -> Scenario:
         peds.append(Pedestrian(
             id=int(p["id"]),
             waypoints=[tuple(float(v) for v in w) for w in p["waypoints"]],
-            radius=float(p.get("radius", 0.25)),
-            height=float(p.get("height", 1.7)),
-            cluster=int(p.get("cluster", 0)),
-            phase_offset=float(p.get("phase_offset", 0.0))))
+            **_present(p, {"radius": float, "height": float, "cluster": int,
+                           "phase_offset": float})))
     robot = data.get("robot_path", [[0.0, 0.0, 0.0, 0.0]])
-    intr = data.get("intrinsics")
-    if intr is not None:
-        intr = CameraIntrinsics(
-            float(intr["f_x"]), float(intr["f_y"]),
-            float(intr["c_x"]), float(intr["c_y"]),
-            int(intr["image_width"]), int(intr["image_height"]))
-    kwargs = {}
-    if intr is not None:
-        kwargs["intrinsics"] = intr
+    kwargs = _present(data, {
+        "frame_rate": float, "box_pixel_std": float,
+        "descriptor_noise_std": float, "viewpoint_amplitude": float,
+        "similarity": float, "descriptor_dim": int, "target_id": int})
+    if data.get("intrinsics") is not None:
+        kwargs["intrinsics"] = _parse_intrinsics(data["intrinsics"])
     scenario = Scenario(
         name=str(data.get("name", "unnamed")),
         pedestrians=peds,
         robot_path=RobotPath([tuple(float(v) for v in w) for w in robot]),
         duration=float(data["duration"]),
-        frame_rate=float(data.get("frame_rate", 10.0)),
-        box_pixel_std=float(data.get("box_pixel_std", 0.0)),
-        descriptor_noise_std=float(data.get("descriptor_noise_std", 0.05)),
-        viewpoint_amplitude=float(data.get("viewpoint_amplitude", 0.1)),
-        similarity=float(data.get("similarity", 0.0)),
-        descriptor_dim=int(data.get("descriptor_dim", 512)),
         occlusions=[OcclusionEvent(int(o["ped_id"]), float(o["t_start"]),
                                    float(o["t_end"]))
                     for o in data.get("occlusions", [])],
         drifts=[DriftEvent(int(d["ped_id"]), float(d["t_start"]),
                            float(d["t_end"]), int(d["toward_cluster"]),
-                           float(d["amount"]), float(d.get("ramp", 2.0)))
+                           float(d["amount"]), **_present(d, {"ramp": float}))
                 for d in data.get("drifts", [])],
-        target_id=int(data.get("target_id", 0)),
         **kwargs)
     scenario.validate()
     return scenario

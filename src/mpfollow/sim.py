@@ -53,6 +53,22 @@ class DriftEvent:
         return self.amount * rise
 
 
+def _interpolate(waypoints, t):
+    """Values of time-monotone (t, *values) waypoints at t, piecewise linear.
+
+    Held constant before the first and after the last waypoint.
+    """
+    if t <= waypoints[0][0]:
+        return waypoints[0][1:]
+    if t >= waypoints[-1][0]:
+        return waypoints[-1][1:]
+    for a, b in zip(waypoints, waypoints[1:]):
+        if a[0] <= t <= b[0]:
+            f = 0.0 if b[0] == a[0] else (t - a[0]) / (b[0] - a[0])
+            return tuple(u + f * (v - u) for u, v in zip(a[1:], b[1:]))
+    raise AssertionError("unreachable")
+
+
 @dataclass
 class Pedestrian:
     id: int
@@ -63,16 +79,7 @@ class Pedestrian:
     phase_offset: float = 0.0
 
     def position(self, t):
-        wps = self.waypoints
-        if t <= wps[0][0]:
-            return np.array([wps[0][1], wps[0][2]])
-        if t >= wps[-1][0]:
-            return np.array([wps[-1][1], wps[-1][2]])
-        for (t0, x0, y0), (t1, x1, y1) in zip(wps, wps[1:]):
-            if t0 <= t <= t1:
-                a = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-                return np.array([x0 + a * (x1 - x0), y0 + a * (y1 - y0)])
-        raise AssertionError("unreachable")
+        return np.array(_interpolate(self.waypoints, t))
 
 
 @dataclass
@@ -81,16 +88,7 @@ class RobotPath:
     waypoints: list                     # [(t, x, y, theta), ...]
 
     def pose(self, t):
-        wps = self.waypoints
-        if t <= wps[0][0]:
-            return wps[0][1:]
-        if t >= wps[-1][0]:
-            return wps[-1][1:]
-        for a, b in zip(wps, wps[1:]):
-            if a[0] <= t <= b[0]:
-                f = 0.0 if b[0] == a[0] else (t - a[0]) / (b[0] - a[0])
-                return tuple(a[i + 1] + f * (b[i + 1] - a[i + 1]) for i in range(3))
-        raise AssertionError("unreachable")
+        return _interpolate(self.waypoints, t)
 
 
 @dataclass

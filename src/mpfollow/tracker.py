@@ -40,7 +40,6 @@ class TrackerConfig:
     min_hits: int = 2                        # matches before a track is confirmed
     init_position_std: float = 0.5
     init_velocity_std: float = 1.0
-    default_dt: float = 1.0 / 30.0
 
     def __post_init__(self):
         if not 0.0 <= self.delta_iou <= 1.0:
@@ -65,10 +64,6 @@ class TrackState:
     hits: int = 0
     last_box: BoundingBox | None = None
     valid: bool = True
-
-    @property
-    def position(self):
-        return self.s[:2].copy()
 
     def confirmed(self, min_hits):
         return self.hits >= min_hits
@@ -316,15 +311,17 @@ class Tracker:
         Returns (tracks, associations) where associations maps track id to
         the index in dets.boxes of the box matched this frame, for
         confirmed tracks only. The tracks are live: the next step changes
-        them in place.
+        them in place. A frame whose timestamp is not after the previous
+        one raises ValueError and leaves the tracker as it was.
         """
         cfg = self.cfg
-        if self._last_timestamp is None:
-            dt = cfg.default_dt
-        else:
+        dt = None  # the first frame has no tracks to predict
+        if self._last_timestamp is not None:
             dt = dets.timestamp - self._last_timestamp
-            if dt <= 0:
-                dt = cfg.default_dt
+            if not dt > 0:
+                raise ValueError(
+                    f"timestamp {dets.timestamp} is not after the previous "
+                    f"frame's {self._last_timestamp}")
         self._last_timestamp = dets.timestamp
 
         kept = filter_overlaps(dets, cfg.delta_iou)

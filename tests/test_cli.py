@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import mpfollow
+from mpfollow import evaluation
 from mpfollow.cli import EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
+from mpfollow.seqio import load_scenario
 
 
 def run(capsys, *argv):
@@ -121,6 +123,35 @@ class TestTrack:
                               capture_output=True, text=True)
         assert proc.returncode == EXIT_OK
 
+    def test_descriptor_dimension_from_input(self, tmp_path, capsys):
+        # The descriptors decide their length; only a change of length
+        # within a sequence is malformed input.
+        sc = tmp_path / "short.yaml"
+        sc.write_text(
+            "name: short\nduration: 10.0\ndescriptor_dim: 8\n"
+            "box_pixel_std: 0.5\npedestrians:\n"
+            "  - {id: 0, cluster: 0, waypoints: [[0.0, 3.0, 0.6]]}\n"
+            "  - {id: 1, cluster: 1, phase_offset: 2.0,\n"
+            "     waypoints: [[0.0, 3.0, -0.8]]}\n")
+        seq, out = tmp_path / "seq.jsonl", tmp_path / "t.jsonl"
+        assert run(capsys, "generate", str(sc), "-o", str(seq))[0] == EXIT_OK
+        assert run(capsys, "track", str(seq), "-o", str(out))[0] == EXIT_OK
+        assert any(json.loads(l).get("is_target")
+                   for l in out.read_text().splitlines())
+        reid_result, _, _ = evaluation.run_experiment(load_scenario(str(sc)))
+        assert reid_result.ap > 0.9
+
+        lines = seq.read_text().splitlines()
+        rec = json.loads(lines[31])
+        rec["detections"][0]["descriptor"] = [1.0, 0.0, 0.0, 0.0]
+        lines[31] = json.dumps(rec)
+        seq.write_text("\n".join(lines) + "\n")
+        code, _, stderr = run(capsys, "track", str(seq), "-o", str(out))
+        assert code == EXIT_SCHEMA
+        assert stderr.startswith(
+            f"error[schema]: frame {rec['frame_index']}: descriptor has "
+            "dimension 4, expected 8")
+
     def test_stuck_timestamps_schema_error(self, tmp_path, capsys, sequence):
         # Timestamps that stop increasing are refused at load with exit 2,
         # not tracked with a made-up frame interval.
@@ -204,3 +235,11 @@ class TestValidateConfig:
         code, _, stderr = run(capsys, "validate-config", "scenario", str(p))
         assert code == EXIT_SCHEMA
         assert "pedestrians" in stderr
+        p = tmp_path / "nofx.yaml"
+        p.write_text("name: x\nduration: 5.0\npedestrians:\n"
+                     "  - {id: 0, waypoints: [[0.0, 3.0, 0.0]]}\n"
+                     "intrinsics: {f_y: 500.0, c_x: 320.0, c_y: 240.0,\n"
+                     "             image_width: 640, image_height: 480}\n")
+        code, _, stderr = run(capsys, "validate-config", "scenario", str(p))
+        assert code == EXIT_SCHEMA
+        assert stderr == f"error[schema]: {p}: field 'intrinsics.f_x': missing\n"

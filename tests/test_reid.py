@@ -17,7 +17,6 @@ from mpfollow.reid import (
     SyntheticExtractor,
     UntrainedClassifierError,
     label_frame_samples,
-    make_extractor,
     normalize_descriptor,
     score,
     step_state_machine,
@@ -69,14 +68,20 @@ def fill(sample_set, samples):
 
 class TestDescriptors:
     def test_passthrough_normalizes(self):
-        ext = PassthroughExtractor(4)
+        ext = PassthroughExtractor()
         v = ext.extract([2.0, 0.0, 0.0, 0.0])
         np.testing.assert_allclose(v, [1, 0, 0, 0])
 
     def test_dimension_mismatch(self):
-        ext = PassthroughExtractor(512)
+        # The first descriptor fixes the dimension; a refused one changes
+        # nothing.
+        ext = PassthroughExtractor()
         with pytest.raises(ReidError):
+            ext.extract([0.0] * 4)
+        ext.extract([1.0] + [0.0] * 511)
+        with pytest.raises(ReidError, match="dimension 2, expected 512"):
             ext.extract([1.0, 2.0])
+        assert ext.extract([0.0] * 511 + [2.0])[-1] == 1.0
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ReidError):
@@ -115,13 +120,6 @@ class TestDescriptors:
             for i in range(3):
                 for j in range(i + 1, 3):
                     assert ext.mean(i) @ ext.mean(j) == pytest.approx(s)
-
-    def test_make_extractor(self):
-        assert isinstance(make_extractor("passthrough"), PassthroughExtractor)
-        assert isinstance(make_extractor("synthetic", dim=16),
-                          SyntheticExtractor)
-        with pytest.raises(ReidError):
-            make_extractor("cnn")
 
 
 class TestSampleSet:

@@ -326,6 +326,31 @@ class TestStep:
         order = [tid for tid, _ in sorted(firsts.items(), key=lambda kv: kv[1])]
         assert order == sorted(order)
 
+    @pytest.mark.parametrize("bad_timestamp", [0.2, 0.1],
+                             ids=["repeated", "earlier"])
+    def test_timestamp_not_after_previous_refused(self, wide_intr,
+                                                  bad_timestamp):
+        # The refused frame changes nothing: the frames after it track as
+        # on a tracker that never saw it.
+        frames = [DetectionSet([BoundingBox(600 + 4 * k, 100, 680 + 4 * k, 500)],
+                               k, k / 10) for k in range(6)]
+        bad = DetectionSet([BoundingBox(300, 100, 360, 500)], 9, bad_timestamp)
+        tr, clean = self.make_tracker(wide_intr), self.make_tracker(wide_intr)
+        for k, dets in enumerate(frames):
+            if k == 3:
+                with pytest.raises(ValueError, match="not after"):
+                    tr.step(bad)
+            tracks, assoc = tr.step(dets)
+            ref_tracks, ref_assoc = clean.step(dets)
+            assert assoc == ref_assoc
+            assert [(t.id, t.hits, t.missed, t.age, t.last_box)
+                    for t in tracks] == [(t.id, t.hits, t.missed, t.age,
+                                          t.last_box) for t in ref_tracks]
+            for t, r in zip(tracks, ref_tracks):
+                assert np.array_equal(t.s, r.s)
+                assert np.array_equal(t.P, r.P)
+        assert len(tracks) == 1 and tracks[0].hits == 6
+
     def test_bad_detection_dropped_frame_continues(self, wide_intr):
         tr = self.make_tracker(wide_intr)
         good = BoundingBox(600, 100, 680, 500)
@@ -378,7 +403,7 @@ class ReferenceTracker(Tracker):
 
     def step(self, dets):
         cfg = self.cfg
-        dt = cfg.default_dt
+        dt = None
         if self._last_timestamp is not None:
             dt = dets.timestamp - self._last_timestamp
         self._last_timestamp = dets.timestamp
