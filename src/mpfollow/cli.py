@@ -51,8 +51,11 @@ def _given(**flags):
 
 
 def _tracker_config(args):
-    return TrackerConfig(**_given(delta_iou=args.delta_iou,
-                                  r_body=args.r_body))
+    try:
+        return TrackerConfig(**_given(delta_iou=args.delta_iou,
+                                      r_body=args.r_body))
+    except ValueError as e:
+        raise CliError("config", str(e), EXIT_USAGE)
 
 
 def _reid_config(args):

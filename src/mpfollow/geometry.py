@@ -182,25 +182,38 @@ def estimate_depth(box: BoundingBox, intr: CameraIntrinsics, r: float) -> float:
     return intr.f_x * r / box.width
 
 
-def process_measurement(box: BoundingBox, intr: CameraIntrinsics,
-                        extr: Extrinsics, r: float) -> np.ndarray:
-    """Convert a raw box to the 2-vector measurement of the linear model.
+def process_measurements(boxes, intr: CameraIntrinsics, extr: Extrinsics, r: float):
+    """Convert raw boxes to the 2-vector measurements of the linear model.
 
     Row 0 derives from the horizontal box center, row 1 from the
     width-based depth; both are shifted into the rotated-world-position
-    space that the observation matrix maps states into.
+    space that the observation matrix maps states into. Returns the (m, 2)
+    finite measurements and the indices of their boxes. The frame
+    constants are computed once; per box, plain float arithmetic rounds
+    exactly as numpy float64 scalars do.
     """
-    width = box.width
-    if width <= 0:
-        raise InvalidDetectionError("box has non-positive width")
-    rc_twr = extr.R_robot_cam @ extr.t_world_robot
-    y0 = (r * (box.u_tl + box.u_br - 2.0 * intr.c_x) / (2.0 * width)
-          - extr.t_robot_cam[0] - rc_twr[0])
-    y1 = intr.f_x * r / width - extr.t_robot_cam[2] - rc_twr[2]
-    y = np.array([y0, y1])
-    if not np.all(np.isfinite(y)):
+    rc_twr = (extr.R_robot_cam @ extr.t_world_robot).tolist()
+    t_rc = extr.t_robot_cam.tolist()
+    two_cx, fr = 2.0 * intr.c_x, intr.f_x * r
+    rows, index = [], []
+    for k, box in enumerate(boxes):
+        width = box.u_br - box.u_tl
+        y0 = (r * (box.u_tl + box.u_br - two_cx) / (2.0 * width)
+              - t_rc[0] - rc_twr[0])
+        y1 = fr / width - t_rc[2] - rc_twr[2]
+        if math.isfinite(y0) and math.isfinite(y1):
+            rows.append((y0, y1))
+            index.append(k)
+    return np.array(rows).reshape(-1, 2), index
+
+
+def process_measurement(box: BoundingBox, intr: CameraIntrinsics,
+                        extr: Extrinsics, r: float) -> np.ndarray:
+    """The measurement of one box; InvalidDetectionError if not finite."""
+    y, _ = process_measurements([box], intr, extr, r)
+    if not len(y):
         raise InvalidDetectionError("non-finite processed measurement")
-    return y
+    return y[0]
 
 
 def build_observation_model(extr: Extrinsics) -> np.ndarray:

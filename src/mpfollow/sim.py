@@ -69,6 +69,13 @@ def _interpolate(waypoints, t):
     raise AssertionError("unreachable")
 
 
+def _check_rows(rows, field, names):
+    """Refuse a waypoint row that does not hold one value per name."""
+    for i, row in enumerate(rows):
+        if len(row) != len(names):
+            raise ScenarioError(f"{field}[{i}]: expected [{', '.join(names)}]")
+
+
 @dataclass
 class Pedestrian:
     id: int
@@ -123,7 +130,8 @@ class Scenario:
             raise ScenarioError("pedestrians: duplicate ids")
         if self.target_id not in ids:
             raise ScenarioError("target_id: no pedestrian with this id")
-        for p in self.pedestrians:
+        for k, p in enumerate(self.pedestrians):
+            _check_rows(p.waypoints, f"pedestrians[{k}].waypoints", ("t", "x", "y"))
             times = [w[0] for w in p.waypoints]
             if not p.waypoints:
                 raise ScenarioError(f"pedestrians[{p.id}].waypoints: empty")
@@ -132,6 +140,9 @@ class Scenario:
                     f"pedestrians[{p.id}].waypoints: timestamps not monotone")
             if p.radius <= 0 or p.height <= 0:
                 raise ScenarioError(f"pedestrians[{p.id}]: radius/height must be > 0")
+        if not self.robot_path.waypoints:
+            raise ScenarioError("robot_path: empty")
+        _check_rows(self.robot_path.waypoints, "robot_path", ("t", "x", "y", "theta"))
         for ev in self.occlusions:
             if ev.ped_id not in ids:
                 raise ScenarioError("occlusions: unknown ped_id")

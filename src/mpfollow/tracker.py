@@ -22,10 +22,10 @@ from .geometry import (
     BoundingBox,
     CameraIntrinsics,
     Extrinsics,
-    InvalidDetectionError,
     build_observation_model,
     iou,
-    process_measurement,
+    process_measurement,  # not called here: framebench's tracer hooks this name
+    process_measurements,
 )
 
 
@@ -81,12 +81,18 @@ def filter_overlaps(dets: DetectionSet, delta_iou: float) -> DetectionSet:
     """Keep only boxes whose largest IoU with any other box is below threshold.
 
     IoU is symmetric, so each unordered pair is computed once and counts
-    for both boxes. The result's indices point into the frame's boxes.
+    for both boxes. In a sweep over boxes sorted by u_tl, a box starting
+    at or right of a's right edge ends a's pairs: its IoU with a is 0.
+    The result's indices point into the frame's boxes.
     """
     boxes = dets.boxes
     worst = [0.0] * len(boxes)
-    for i, a in enumerate(boxes):
-        for j in range(i + 1, len(boxes)):
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i].u_tl)
+    for pos, i in enumerate(order):
+        a = boxes[i]
+        for j in order[pos + 1:]:
+            if boxes[j].u_tl >= a.u_br:
+                break
             v = iou(a, boxes[j])
             if v > worst[i]:
                 worst[i] = v
@@ -163,6 +169,21 @@ def _min_cost_assignment(cost):
     """
     transpose = cost.shape[1] < cost.shape[0]
     C = (cost.T if transpose else cost).tolist()
+    nr = len(C)
+    # A search scans from the last column down and on a tie prefers a free
+    # one, so when each row's first minimum is in a column of its own, each
+    # search stops there at once and leaves v at 0: it picks these columns.
+    col4row = [row.index(min(row)) for row in C]
+    if len(set(col4row)) < nr:
+        col4row = _augmenting_paths(C)
+    if transpose:
+        cols = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[c] for c in cols], cols
+    return list(range(nr)), col4row
+
+
+def _augmenting_paths(C):
+    """Columns of the rows of C (nr <= nc) by one augmenting path per row."""
     nr, nc = len(C), len(C[0])
     u, v = [0.0] * nr, [0.0] * nc
     path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
@@ -211,10 +232,7 @@ def _min_cost_assignment(cost):
             col4row[i], j = j, col4row[i]
             if i == cur:
                 break
-    if transpose:
-        cols = sorted(range(nr), key=col4row.__getitem__)
-        return [col4row[c] for c in cols], cols
-    return list(range(nr)), col4row
+    return col4row
 
 
 def associate(tracks, measurements, H, gate):
@@ -227,10 +245,10 @@ def associate(tracks, measurements, H, gate):
     Returns (pairs, unmatched_track_indices, unmatched_measurement_indices)
     with pairs as (track_index, measurement_index) tuples.
     """
-    if not tracks or not measurements:
+    if not tracks or not len(measurements):
         return [], list(range(len(tracks))), list(range(len(measurements)))
     expected = (H @ np.array([t.s for t in tracks])[..., None])[..., 0]
-    d = expected[:, None, :] - np.array(measurements)[None, :, :]
+    d = expected[:, None, :] - np.asarray(measurements)[None, :, :]
     # Each cost is the dot product d @ d of its pair, bit for bit; a sum of
     # squares rounds differently and can change which costs tie.
     cost = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
@@ -325,14 +343,9 @@ class Tracker:
         self._last_timestamp = dets.timestamp
 
         kept = filter_overlaps(dets, cfg.delta_iou)
-        measurements, det_index = [], []
-        for k, box in zip(kept.indices, kept.boxes):
-            try:
-                measurements.append(
-                    process_measurement(box, self.intr, self.extr, cfg.r_body))
-                det_index.append(k)
-            except InvalidDetectionError:
-                continue
+        measurements, found = process_measurements(
+            kept.boxes, self.intr, self.extr, cfg.r_body)
+        det_index = [kept.indices[k] for k in found]
 
         if self.tracks:
             self._S[:], self._P[:] = _predict_rows(self._S, self._P, dt, cfg)
@@ -347,7 +360,7 @@ class Tracker:
             rows = np.array([i for i, _ in pairs])
             S, P, valid = _update_rows(
                 self._S[rows], self._P[rows],
-                np.array([measurements[j] for _, j in pairs]), self.H,
+                measurements[[j for _, j in pairs]], self.H,
                 cfg.measurement_noise_std)
             self._S[rows[valid]] = S[valid]
             self._P[rows[valid]] = P[valid]

@@ -18,6 +18,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv):
+    """The CLI in its own process, so a traceback shows in its stderr."""
+    src = str(Path(mpfollow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "mpfollow.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+ONE_FRAME_SEQUENCE = (
+    '{"format": "mpfollow-seq-1"}\n'
+    '{"frame_index": 0, "timestamp": 0.0, "robot_pose": [0, 0, 0], '
+    '"detections": [{"box": [600, 200, 680, 500]}]}\n')
+
+
 class TestGenerate:
     def test_builtin_scenario(self, tmp_path, capsys):
         out = tmp_path / "seq.jsonl"
@@ -48,6 +63,25 @@ class TestGenerate:
                               "-o", str(tmp_path / "seq.jsonl"))
         assert code == EXIT_OK
         assert "10 frames" in stdout
+
+    @pytest.mark.parametrize("command", ["generate", "validate-config"])
+    @pytest.mark.parametrize("rows, message", [
+        ("  - id: 0\n    waypoints: [[0.0, 3.0]]\n",
+         "pedestrians[0].waypoints[0]: expected [t, x, y]"),
+        ("  - {id: 0, waypoints: [[0.0, 3.0, 0.0]]}\n"
+         "robot_path: [[0.0, 0.0, 0.0, 0.0], [5.0, 1.0, 0.0]]\n",
+         "robot_path[1]: expected [t, x, y, theta]"),
+    ], ids=["pedestrian", "robot"])
+    def test_short_waypoint_row_schema_error(self, tmp_path, capsys, command,
+                                             rows, message):
+        sc = tmp_path / "sc.yaml"
+        sc.write_text("name: short\nduration: 1.0\npedestrians:\n" + rows)
+        argv = (["generate", str(sc), "-o", str(tmp_path / "seq.jsonl")]
+                if command == "generate"
+                else ["validate-config", "scenario", str(sc)])
+        code, _, stderr = run(capsys, *argv)
+        assert code == EXIT_SCHEMA
+        assert stderr == f"error[schema]: {sc}: {message}\n"
 
     def test_bad_scenario_yaml_schema_error(self, tmp_path, capsys):
         sc = tmp_path / "sc.yaml"
@@ -85,10 +119,7 @@ class TestTrack:
 
     def test_missing_descriptors_with_reid_fails(self, tmp_path, capsys):
         seq = tmp_path / "seq.jsonl"
-        seq.write_text(
-            '{"format": "mpfollow-seq-1"}\n'
-            '{"frame_index": 0, "timestamp": 0.0, "robot_pose": [0, 0, 0], '
-            '"detections": [{"box": [600, 200, 680, 500]}]}\n')
+        seq.write_text(ONE_FRAME_SEQUENCE)
         code, _, stderr = run(capsys, "track", str(seq),
                               "-o", str(tmp_path / "t.jsonl"))
         assert code == EXIT_USAGE
@@ -110,17 +141,12 @@ class TestTrack:
         seq = tmp_path / "seq.jsonl"
         seq.write_text('{"format": "mpfollow-seq-1"}\n'
                        + "\n".join(frames) + "\n")
-        src = str(Path(mpfollow.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")])}
-        argv = [sys.executable, "-m", "mpfollow.cli", "track", str(seq),
-                "-o", str(tmp_path / "t.jsonl")]
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        argv = ["track", str(seq), "-o", str(tmp_path / "t.jsonl")]
+        proc = run_process(*argv)
         assert proc.returncode == EXIT_SCHEMA
         assert "error[schema]: frame 2:" in proc.stderr
         assert "Traceback" not in proc.stderr
-        proc = subprocess.run(argv + ["--no-reid"], env=env,
-                              capture_output=True, text=True)
+        proc = run_process(*argv, "--no-reid")
         assert proc.returncode == EXIT_OK
 
     def test_descriptor_dimension_from_input(self, tmp_path, capsys):
@@ -216,6 +242,21 @@ class TestExperiment:
         for name in ("metrics.txt", "trace.jsonl"):
             assert (tmp_path / "a" / "lab_corridor_like" / name).read_bytes() \
                 == (tmp_path / "b" / "lab_corridor_like" / name).read_bytes()
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("command", ["track", "experiment"])
+    def test_delta_iou_out_of_range_usage_error(self, tmp_path, command):
+        seq = tmp_path / "seq.jsonl"
+        seq.write_text(ONE_FRAME_SEQUENCE)
+        source = str(seq) if command == "track" else "lab_corridor_like"
+        proc = run_process(command, source, "--delta-iou", "2",
+                           "-o" if command == "track" else "--out-dir",
+                           str(tmp_path / "out"))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error[config]: delta_iou must be in")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestValidateConfig:

@@ -14,6 +14,7 @@ from mpfollow.geometry import (
     build_observation_model,
     estimate_depth,
     process_measurement,
+    process_measurements,
     project_person,
     robot_pose_extrinsics,
 )
@@ -106,6 +107,41 @@ class TestProcessMeasurement:
         rc_twr = extr.R_robot_cam @ extr.t_world_robot
         y_squared = y + np.array([t[0], t[2]]) - np.array([t[0]**2, t[2]**2])
         assert not np.allclose(y_squared, consistent, atol=1e-6)
+
+
+    def test_batch_matches_one_box_and_numpy_scalars(self, wide_intr):
+        # The batch is plain float arithmetic; it must give the bits of
+        # the one-box call and of the formula over numpy float64 scalars.
+        def numpy_scalars(box, extr, r):
+            u_tl, u_br = np.float64(box.u_tl), np.float64(box.u_br)
+            width = u_br - u_tl
+            rc_twr = extr.R_robot_cam @ extr.t_world_robot
+            return np.array([
+                r * (u_tl + u_br - 2.0 * wide_intr.c_x) / (2.0 * width)
+                - extr.t_robot_cam[0] - rc_twr[0],
+                wide_intr.f_x * r / width - extr.t_robot_cam[2] - rc_twr[2]])
+
+        rng = np.random.default_rng(11)
+        infinite = BoundingBox(600.0, 100.0, math.inf, 500.0)
+        for trial in range(200):
+            extr = (random_extrinsics(rng) if trial % 2 else
+                    robot_pose_extrinsics(*rng.normal(scale=5, size=3)))
+            r = float(rng.uniform(0.1, 0.5))
+            boxes = []
+            for _ in range(rng.integers(0, 12)):
+                u, w = rng.uniform(-200, 1400), rng.uniform(0.5, 300)
+                boxes.append(BoundingBox(float(u), 100.0, float(u + w), 500.0))
+            at = int(rng.integers(0, len(boxes) + 1))
+            boxes.insert(at, infinite)
+            Y, index = process_measurements(boxes, wide_intr, extr, r)
+            assert Y.shape == (len(boxes) - 1, 2)
+            assert index == [k for k in range(len(boxes)) if k != at]
+            for y, k in zip(Y, index):
+                assert np.array_equal(y, process_measurement(
+                    boxes[k], wide_intr, extr, r))
+                assert np.array_equal(y, numpy_scalars(boxes[k], extr, r))
+            with pytest.raises(InvalidDetectionError):
+                process_measurement(infinite, wide_intr, extr, r)
 
 
 class TestObservationModel:

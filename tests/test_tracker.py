@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from mpfollow import sim
+from mpfollow import sim, tracker
 from mpfollow.geometry import (
     BoundingBox,
     InvalidDetectionError,
@@ -71,6 +71,13 @@ box_strategy = st.builds(
     st.floats(0, 500), st.floats(0, 300),
     st.floats(1, 150), st.floats(1, 150))
 
+# A crowd as a person detector sees it: many narrow, tall boxes side by
+# side, some starting at the same u.
+crowd_box_strategy = st.builds(
+    lambda u, v, w, h: BoundingBox(u, v, u + w, v + h),
+    st.one_of(st.sampled_from([100.0, 400.0, 640.0]), st.floats(0, 1280)),
+    st.floats(100, 300), st.floats(5, 60), st.floats(100, 400))
+
 
 class TestFilterOverlaps:
     def test_identical_boxes_removed(self):
@@ -91,7 +98,8 @@ class TestFilterOverlaps:
         out = filter_overlaps(DetectionSet(boxes), 0.5)
         assert out.boxes == boxes
 
-    @given(st.lists(box_strategy, max_size=10),
+    @given(st.one_of(st.lists(box_strategy, max_size=10),
+                     st.lists(crowd_box_strategy, max_size=30)),
            st.floats(0.05, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_matches_brute_force(self, boxes, delta):
@@ -519,6 +527,26 @@ class TestBatchedEquivalence:
             gate = float(rng.choice([0.5, 2.0, 1e9]))
             assert associate(tracks, ms, H, gate) == \
                 reference_associate(tracks, ms, H, gate)
+
+    def test_assignment_matches_scipy_on_both_branches(self, monkeypatch):
+        # Square, wide and tall matrices up to 12x12, half of them small
+        # integers so that costs tie. The shortcut (each row's strict
+        # minimum in a column of its own) and the augmenting search must
+        # both run often, and both must give scipy's assignment.
+        searched = []
+        search = tracker._augmenting_paths
+        monkeypatch.setattr(tracker, "_augmenting_paths",
+                            lambda C: searched.append(1) or search(C))
+        rng = np.random.default_rng(21)
+        trials = 3000
+        for k in range(trials):
+            shape = rng.integers(1, 13, size=2)
+            cost = (rng.integers(0, 4, size=shape).astype(float) if k % 2
+                    else rng.normal(size=shape))
+            rows, cols = tracker._min_cost_assignment(cost)
+            want_rows, want_cols = linear_sum_assignment(cost)
+            assert (rows, cols) == (want_rows.tolist(), want_cols.tolist())
+        assert 500 < len(searched) < trials - 500
 
     def test_one_track_calls_match_plain_algebra(self):
         cfg = TrackerConfig()
