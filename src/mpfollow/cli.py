@@ -8,10 +8,9 @@ import os
 import sys
 
 from . import evaluation, seqio, sim
-from .geometry import GeometryError
 from .pipeline import FollowPipeline
-from .reid import ReidConfig, ReidError
-from .sim import DEFAULT_INTRINSICS, ScenarioError
+from .reid import ReidConfig
+from .sim import DEFAULT_INTRINSICS
 from .tracker import TrackerConfig
 
 EXIT_OK = 0
@@ -45,27 +44,22 @@ def _out_dir(args):
     return args.out_dir or os.environ.get("MPFOLLOW_OUT_DIR", ".")
 
 
-def _given(**flags):
-    """The config flags set on the command line, as keyword arguments."""
-    return {name: v for name, v in flags.items() if v is not None}
-
-
-def _tracker_config(args):
+def _config(cls, **flags):
+    """cls from the config flags given on the command line, or error[config]."""
     try:
-        return TrackerConfig(**_given(delta_iou=args.delta_iou,
-                                      r_body=args.r_body))
+        return cls(**{name: v for name, v in flags.items() if v is not None})
     except ValueError as e:
         raise CliError("config", str(e), EXIT_USAGE)
 
 
+def _tracker_config(args):
+    return _config(TrackerConfig, delta_iou=args.delta_iou, r_body=args.r_body)
+
+
 def _reid_config(args):
-    try:
-        return ReidConfig(**_given(
-            delta_switch=args.delta_switch, delta_id=args.delta_id,
-            n_id=args.n_id, capacity=args.capacity, mode=args.mode,
-            lam=args.lam))
-    except ReidError as e:
-        raise CliError("config", str(e), EXIT_USAGE)
+    return _config(ReidConfig, delta_switch=args.delta_switch,
+                   delta_id=args.delta_id, n_id=args.n_id,
+                   capacity=args.capacity, mode=args.mode, lam=args.lam)
 
 
 def _print_config(args, tracker_cfg, reid_cfg):
@@ -77,11 +71,7 @@ def _print_config(args, tracker_cfg, reid_cfg):
 
 
 def cmd_generate(args):
-    scenario = _resolve_scenario(args.scenario)
-    try:
-        frames = sim.generate(scenario, args.seed)
-    except ScenarioError as e:
-        raise CliError("schema", str(e), EXIT_SCHEMA)
+    frames = sim.generate(_resolve_scenario(args.scenario), args.seed)
     seqio.write_sequence(frames, args.out)
     print(f"wrote {len(frames)} frames to {args.out}")
     return EXIT_OK
@@ -117,11 +107,7 @@ def cmd_track(args):
                           reid_enabled=not args.no_reid, seed=args.seed)
     rows = []
     for record in frames:
-        try:
-            result = pipe.process_frame(record)
-        except (ReidError, GeometryError) as e:
-            raise CliError("schema", f"frame {record.frame_index}: {e}",
-                           EXIT_SCHEMA)
+        result = pipe.process_frame(record)
         for tid, x, y, box in result.tracks:
             rows.append({
                 "frame_index": record.frame_index,
@@ -149,6 +135,7 @@ def _run_named(scenario, out_dir, seed, tracker_cfg, reid_cfg, label,
 def cmd_experiment(args):
     out_dir = _out_dir(args)
     tracker_cfg = _tracker_config(args)
+    reid_cfg = _reid_config(args)  # refused here even where unused
     seed = args.seed
     scenarios = sim.builtin_scenarios()
     name = args.name
@@ -177,7 +164,6 @@ def cmd_experiment(args):
             print(f"{b['lo']:g} {b['hi']:g} {b['count']} "
                   f"{b['mean_abs_error']:.4f}")
     elif name in scenarios:
-        reid_cfg = _reid_config(args)
         _print_config(args, tracker_cfg, reid_cfg)
         r, stats = _run_named(scenarios[name], out_dir, seed, tracker_cfg,
                               reid_cfg, name)
@@ -190,12 +176,10 @@ def cmd_experiment(args):
 def cmd_validate_config(args):
     path = args.path
     try:
-        if args.kind == "scenario":
+        if args.kind == "scenario":  # argparse allows no other kind
             seqio.load_scenario(path)
-        elif args.kind == "calibration":
-            seqio.load_calibration(path)
         else:
-            raise CliError("usage", f"unknown kind '{args.kind}'", EXIT_USAGE)
+            seqio.load_calibration(path)
     except seqio.SchemaError as e:
         raise CliError("schema", str(e), EXIT_SCHEMA)
     print(f"{path}: valid {args.kind}")

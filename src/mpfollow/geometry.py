@@ -37,6 +37,7 @@ FORWARD_CAMERA_ROTATION = np.array(
 )
 
 _MIN_DEPTH = 0.1  # meters; closer points are treated as not visible
+MIN_BOX_WIDTH = 1.0  # pixels; a narrower box is not a detection
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,8 @@ class CameraIntrinsics:
     image_height: int
 
     def __post_init__(self):
-        if self.f_x <= 0 or self.f_y <= 0:
-            raise GeometryError("focal lengths must be positive")
+        if not (0 < self.f_x < math.inf and 0 < self.f_y < math.inf):
+            raise GeometryError("focal lengths must be positive and finite")
         if not (0 < self.c_x < self.image_width):
             raise GeometryError("c_x must lie inside the image")
         if not (0 < self.c_y < self.image_height):
@@ -177,8 +178,6 @@ def estimate_depth(box: BoundingBox, intr: CameraIntrinsics, r: float) -> float:
     """Camera-frame depth of a person of body width r from their box width."""
     if r <= 0:
         raise GeometryError("body width must be positive")
-    if box.width <= 0:
-        raise InvalidDetectionError("box has non-positive width")
     return intr.f_x * r / box.width
 
 
@@ -268,6 +267,6 @@ def project_person(world_pos, r: float, h: float, intr: CameraIntrinsics,
     v_tl = max(v_tl, 0.0)
     u_br = min(u_br, float(intr.image_width))
     v_br = min(v_br, float(intr.image_height))
-    if u_br - u_tl <= 1e-9 or v_br - v_tl <= 1e-9:
+    if u_br - u_tl < MIN_BOX_WIDTH or v_br - v_tl <= 1e-9:
         raise NotVisibleError("person outside the image")
     return BoundingBox(u_tl, v_tl, u_br, v_br)

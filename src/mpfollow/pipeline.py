@@ -131,8 +131,6 @@ class FollowPipeline:
             reid.train(self.classifier, self.sample_set)
 
     def _negatives_by_image_distance(self, target_tid, associations):
-        if target_tid not in associations:
-            return None
         cx, cy = associations[target_tid].center
         others = [(tid, box) for tid, box in associations.items()
                   if tid != target_tid]

@@ -26,11 +26,9 @@ class UntrainedClassifierError(ReidError):
     """score() called before any successful training."""
 
 
-def normalize_descriptor(v, dim=None):
-    """Unit-normalize a feature vector; rejects zero vectors and bad dims."""
+def normalize_descriptor(v):
+    """Unit-normalize a feature vector; rejects zero and non-finite norms."""
     v = np.asarray(v, dtype=float).reshape(-1)
-    if dim is not None and v.size != dim:
-        raise ReidError(f"descriptor has dimension {v.size}, expected {dim}")
     norm = np.linalg.norm(v)
     if norm <= 0 or not np.isfinite(norm):
         raise ReidError("descriptor must be a finite nonzero vector")
@@ -43,10 +41,6 @@ class AppearanceSample:
     label: int            # +1 target, 0 non-target
     frame_index: int
     track_id: int
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ReidError("label must be 0 or 1")
 
 
 @dataclass
@@ -63,10 +57,13 @@ class ReidConfig:
     def __post_init__(self):
         if self.mode not in ("ST", "SLT"):
             raise ReidError("mode must be ST or SLT")
-        if not (0.0 <= self.long_term_fraction <= 1.0):
-            raise ReidError("long_term_fraction must be in [0, 1]")
-        if self.lam <= 0:
-            raise ReidError("lam must be positive")
+        for name in ("delta_switch", "delta_id", "long_term_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ReidError(f"{name} must be in [0, 1]")
+        if not 0 < self.lam < math.inf:
+            raise ReidError("lam must be positive and finite")
+        if self.n_id < 1 or self.capacity < 1:
+            raise ReidError("n_id and capacity must be at least 1")
 
 
 class SampleSet:
@@ -239,20 +236,10 @@ def label_frame_samples(target_track_id, track_descriptors, frame_index,
 
 
 class PassthroughExtractor:
-    """Normalizes precomputed descriptor vectors carried by sequence files.
-
-    The first descriptor it normalizes fixes the dimension; a later one of
-    another length is refused.
-    """
-
-    def __init__(self):
-        self.dim = None
+    """Normalizes the descriptors of a sequence (checked when it loaded)."""
 
     def extract(self, vector):
-        v = normalize_descriptor(vector, self.dim)
-        if self.dim is None:
-            self.dim = v.size
-        return v
+        return normalize_descriptor(vector)
 
 
 class SyntheticExtractor:
@@ -261,15 +248,12 @@ class SyntheticExtractor:
     Each appearance cluster gets a unit mean vector; every pair of cluster
     means has cosine similarity equal to the configured value. A per-frame
     observation blends the mean with a smoothly drifting viewpoint
-    component and isotropic noise, then renormalizes.
+    component and isotropic noise, then renormalizes. It needs
+    similarity in [0, 1] and dim >= 2 * n_clusters + 1.
     """
 
     def __init__(self, dim=512, n_clusters=2, similarity=0.0,
                  viewpoint_amplitude=0.1, noise_std=0.05, seed=0):
-        if not (0.0 <= similarity <= 1.0):
-            raise ReidError("similarity must be in [0, 1]")
-        if dim < 2 * n_clusters + 1:
-            raise ReidError("descriptor dimension too small for cluster count")
         self.dim = dim
         self.similarity = similarity
         self.viewpoint_amplitude = viewpoint_amplitude

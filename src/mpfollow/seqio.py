@@ -17,10 +17,10 @@ import yaml
 
 from .geometry import (
     FORWARD_CAMERA_ROTATION,
+    MIN_BOX_WIDTH,
     BoundingBox,
     CameraIntrinsics,
     Extrinsics,
-    GeometryError,
 )
 from .sim import (
     Detection,
@@ -81,60 +81,97 @@ def write_sequence(frames, path):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def record_to_frame(rec: dict, path="<sequence>", line=0) -> FrameRecord:
+_LIMIT = 1e50  # beyond physical values; the frame loop's squares stay finite
+_NUMBER = frozenset((int, float))  # JSON true/false load as bool, not a number
+
+
+def _numbers(values, size):
+    """values as floats if they are a list of size numbers within ±_LIMIT."""
+    if (type(values) is list and len(values) == size
+            and _NUMBER.issuperset(map(type, values))
+            and all(map(_LIMIT.__ge__, map(abs, values)))):  # NaN too
+        return list(map(float, values))
+    return None
+
+
+def _descriptor(values, size):
+    """values as an array if a flat list of (size) numbers with 0 < norm < inf."""
+    try:
+        sum(values)  # a TypeError unless values holds only numbers
+        d = np.fromiter(values, float, len(values))
+    except (TypeError, OverflowError):
+        return None
+    return d if size in (None, d.size) and 0 < d @ d < math.inf else None
+
+
+def record_to_frame(rec, path="<sequence>", line=0, descriptor_size=None):
+    """One sequence line as a FrameRecord, and the descriptor length later
+    lines must keep; SchemaError names the first bad value."""
     def fail(field, why):
         raise SchemaError(f"{path}:{line}: field '{field}': {why}")
 
-    for field in ("frame_index", "timestamp", "detections"):
-        if field not in rec:
-            fail(field, "missing")
+    if type(rec) is not dict:
+        raise SchemaError(f"{path}:{line}: expected a JSON object")
+    if type(rec.get("frame_index")) is not int:
+        fail("frame_index", "expected an integer")
+    timestamp = (_numbers([rec.get("timestamp")], 1) or fail(
+        "timestamp", f"expected a number within ±{_LIMIT:g}"))[0]
+    if type(rec.get("detections")) is not list:
+        fail("detections", "expected a list")
     detections = []
     for i, d in enumerate(rec["detections"]):
-        if "box" not in d:
-            fail(f"detections[{i}].box", "missing")
-        box = d["box"]
-        if len(box) != 4 or not all(isinstance(v, (int, float)) for v in box):
-            fail(f"detections[{i}].box", "expected 4 numbers")
-        try:
-            bbox = BoundingBox(*[float(v) for v in box])
-        except ValueError as e:
-            fail(f"detections[{i}].box", str(e))
+        field = f"detections[{i}]"
+        if type(d) is not dict:
+            fail(field, "expected an object")
+        box = (_numbers(d.get("box"), 4) or fail(
+            f"{field}.box", f"expected 4 numbers within ±{_LIMIT:g}"))
+        # Corners are written to 6 decimals, which can narrow a box by 1e-6 px.
+        if not (box[2] - box[0] >= MIN_BOX_WIDTH - 2e-6 and box[3] > box[1]):
+            fail(f"{field}.box", f"under {MIN_BOX_WIDTH:g} px wide or v_br <= v_tl")
         desc = d.get("descriptor")
-        desc = None if desc is None else np.asarray(desc, dtype=float)
-        detections.append(Detection(bbox, desc, d.get("person_id")))
+        if desc is not None:
+            desc = _descriptor(desc, descriptor_size)
+            if desc is None:
+                fail(f"{field}.descriptor", "expected a flat list of numbers, "
+                     "as long as the sequence's first, with 0 < norm < inf")
+            descriptor_size = desc.size
+        if type(d.get("person_id")) not in (int, type(None)):
+            fail(f"{field}.person_id", "expected an integer or null")
+        detections.append(Detection(BoundingBox(*box), desc, d.get("person_id")))
     pose = rec.get("robot_pose")
     if pose is not None:
-        if len(pose) != 3:
-            fail("robot_pose", "expected [x, y, theta]")
-        pose = tuple(float(v) for v in pose)
-    try:
-        timestamp = float(rec["timestamp"])
-    except (TypeError, ValueError):
-        fail("timestamp", "expected a number")
-    if not math.isfinite(timestamp):
-        fail("timestamp", f"{timestamp} is not finite")
-    gt = {int(pid): tuple(pos)
-          for pid, pos in (rec.get("ground_truth") or {}).items()}
-    return FrameRecord(int(rec["frame_index"]), timestamp, detections, pose, gt)
+        pose = tuple(_numbers(pose, 3) or fail(
+            "robot_pose", f"expected [x, y, theta] within ±{_LIMIT:g}"))
+    gt = rec.get("ground_truth")
+    if type(gt) not in (dict, type(None)):
+        fail("ground_truth", "expected an object")
+    positions = {}
+    for pid, pos in (gt or {}).items():
+        xy = pid.removeprefix("-").isdecimal() and _numbers(pos, 2)
+        positions[int(pid)] = tuple(xy or fail(
+            f"ground_truth.{pid}", f"expected int id: [x, y] within ±{_LIMIT:g}"))
+    return (FrameRecord(rec["frame_index"], timestamp, detections, pose,
+                        positions), descriptor_size)
 
 
 def read_sequence(path):
-    frames = []
-    with open(path) as f:
+    frames, size = [], None
+    with open(path) as f, np.errstate(over="ignore"):  # _descriptor refuses overflow
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON: {e}") from e
-            if lineno == 1 and "format" in rec and "frame_index" not in rec:
+            if (lineno == 1 and type(rec) is dict and "format" in rec
+                    and "frame_index" not in rec):
                 if rec["format"] != SEQUENCE_FORMAT:
                     raise SchemaError(
                         f"{path}:1: unsupported format '{rec['format']}'")
                 continue
-            frame = record_to_frame(rec, path, lineno)
+            frame, size = record_to_frame(rec, path, lineno, size)
             if frames and not frame.timestamp > frames[-1].timestamp:
                 raise SchemaError(
                     f"{path}:{lineno}: field 'timestamp': {frame.timestamp} "
@@ -160,8 +197,9 @@ def _parse_rotation(value, field):
         return np.eye(3)
     if value == "forward":
         return FORWARD_CAMERA_ROTATION
-    if isinstance(value, dict) and "rpy" in value:
-        roll, pitch, yaw = (float(v) for v in value["rpy"])
+    rpy = _numbers(value.get("rpy"), 3) if isinstance(value, dict) else None
+    if rpy is not None:
+        roll, pitch, yaw = rpy
         cr, sr = math.cos(roll), math.sin(roll)
         cp, sp = math.cos(pitch), math.sin(pitch)
         cy, sy = math.cos(yaw), math.sin(yaw)
@@ -169,13 +207,10 @@ def _parse_rotation(value, field):
         Ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
         Rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
         return Rz @ Ry @ Rx
-    try:
-        vals = [float(v) for v in value]
-    except (TypeError, ValueError):
-        raise SchemaError(f"field '{field}': expected 9 numbers, rpy, "
-                          "'identity' or 'forward'")
-    if len(vals) != 9:
-        raise SchemaError(f"field '{field}': expected 9 numbers (row-major)")
+    vals = _numbers(value, 9)
+    if vals is None:
+        raise SchemaError(f"field '{field}': expected 9 numbers (row-major), "
+                          "{rpy: [3 numbers]}, 'identity' or 'forward'")
     return np.array(vals).reshape(3, 3)
 
 
@@ -197,15 +232,15 @@ def _parse_intrinsics(intr) -> CameraIntrinsics:
             float(intr["f_x"]), float(intr["f_y"]),
             float(intr["c_x"]), float(intr["c_y"]),
             int(intr["image_width"]), int(intr["image_height"]))
-    except GeometryError as e:
+    except (TypeError, ValueError, OverflowError) as e:  # GeometryError too
         raise SchemaError(f"intrinsics: {e}") from e
 
 
 def load_calibration(path):
     """Read a calibration YAML file into (CameraIntrinsics, Extrinsics)."""
     data = _read_yaml(path)
-    if not isinstance(data, dict) or "intrinsics" not in data:
-        raise SchemaError(f"{path}: field 'intrinsics': missing")
+    if not isinstance(data, dict) or not isinstance(data.get("intrinsics"), dict):
+        raise SchemaError(f"{path}: field 'intrinsics': missing or not a mapping")
     try:
         intrinsics = _parse_intrinsics(data["intrinsics"])
     except SchemaError as e:
@@ -219,7 +254,7 @@ def load_calibration(path):
             _parse_rotation(extr.get("r_robot_cam", "forward"),
                             "extrinsics.r_robot_cam"),
             np.asarray(extr.get("t_robot_cam", [0, 0, 0]), dtype=float))
-    except GeometryError as e:
+    except (AttributeError, TypeError, ValueError) as e:  # GeometryError too
         raise SchemaError(f"{path}: extrinsics: {e}") from e
     return intrinsics, extrinsics
 
@@ -234,7 +269,7 @@ def load_scenario(path) -> Scenario:
         raise SchemaError(f"{path}: expected a mapping at the top level")
     try:
         return scenario_from_dict(data)
-    except (ScenarioError, KeyError, TypeError, ValueError) as e:
+    except (ScenarioError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"{path}: {e}") from e
 
 

@@ -70,10 +70,12 @@ def _interpolate(waypoints, t):
 
 
 def _check_rows(rows, field, names):
-    """Refuse a waypoint row that does not hold one value per name."""
+    """Refuse a waypoint row that does not hold one finite value per name."""
     for i, row in enumerate(rows):
         if len(row) != len(names):
             raise ScenarioError(f"{field}[{i}]: expected [{', '.join(names)}]")
+        if not all(map(math.isfinite, row)):
+            raise ScenarioError(f"{field}[{i}]: {list(row)} is not finite")
 
 
 @dataclass
@@ -117,12 +119,19 @@ class Scenario:
     overlap_occlusion_threshold: float = 0.7
 
     def validate(self):
-        if self.frame_rate <= 0:
-            raise ScenarioError("frame_rate: must be positive")
-        if self.duration <= 0:
-            raise ScenarioError("duration: must be positive")
+        if not 0 < self.frame_rate < math.inf:
+            raise ScenarioError("frame_rate: must be positive and finite")
+        if not 0 < self.duration < math.inf:
+            raise ScenarioError("duration: must be positive and finite")
         if not (0.0 <= self.similarity <= 1.0):
             raise ScenarioError("similarity: must be in [0, 1]")
+        clusters = {p.cluster for p in self.pedestrians} | {
+            ev.toward_cluster for ev in self.drifts}
+        if self.descriptor_dim < 2 * len(clusters) + 1:  # see SyntheticExtractor
+            raise ScenarioError("descriptor_dim: too small for the cluster count")
+        for name in ("box_pixel_std", "descriptor_noise_std", "viewpoint_amplitude"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ScenarioError(f"{name}: must be finite and >= 0")
         if not self.pedestrians:
             raise ScenarioError("pedestrians: at least one required")
         ids = [p.id for p in self.pedestrians]
@@ -138,8 +147,9 @@ class Scenario:
             if any(b < a for a, b in zip(times, times[1:])):
                 raise ScenarioError(
                     f"pedestrians[{p.id}].waypoints: timestamps not monotone")
-            if p.radius <= 0 or p.height <= 0:
-                raise ScenarioError(f"pedestrians[{p.id}]: radius/height must be > 0")
+            if not (0 < p.radius < math.inf and 0 < p.height < math.inf):
+                raise ScenarioError(
+                    f"pedestrians[{p.id}]: radius/height must be in (0, inf)")
         if not self.robot_path.waypoints:
             raise ScenarioError("robot_path: empty")
         _check_rows(self.robot_path.waypoints, "robot_path", ("t", "x", "y", "theta"))
@@ -251,7 +261,7 @@ def _jitter_box(box, std, intr, rng):
     u_tl, v_tl, u_br, v_br = vals
     u_tl = min(max(u_tl, 0.0), intr.image_width - 2.0)
     v_tl = min(max(v_tl, 0.0), intr.image_height - 2.0)
-    u_br = min(max(u_br, u_tl + 1.0), float(intr.image_width))
+    u_br = min(max(u_br, u_tl + geometry.MIN_BOX_WIDTH), float(intr.image_width))
     v_br = min(max(v_br, v_tl + 1.0), float(intr.image_height))
     return BoundingBox(u_tl, v_tl, u_br, v_br)
 

@@ -46,6 +46,8 @@ class TrackerConfig:
             raise ValueError("delta_iou must be in [0, 1]")
         if min(self.process_noise_std) <= 0 or self.measurement_noise_std <= 0:
             raise ValueError("noise stds must be positive")
+        if not 0 < self.r_body < math.inf:
+            raise ValueError("r_body must be positive and finite")
 
 
 @dataclass

@@ -129,7 +129,8 @@ class TestTrack:
         assert code == EXIT_OK
 
     def test_zero_descriptor_schema_error(self, tmp_path):
-        # A malformed descriptor is bad input: exit 2, no traceback.
+        # A malformed descriptor is bad input, refused at load whether or
+        # not re-ID runs: exit 2 naming file, line and field, no traceback.
         frames = []
         for i in range(3):
             desc = [0.0] * 512 if i == 2 else [1.0] + [0.0] * 511
@@ -142,12 +143,12 @@ class TestTrack:
         seq.write_text('{"format": "mpfollow-seq-1"}\n'
                        + "\n".join(frames) + "\n")
         argv = ["track", str(seq), "-o", str(tmp_path / "t.jsonl")]
-        proc = run_process(*argv)
-        assert proc.returncode == EXIT_SCHEMA
-        assert "error[schema]: frame 2:" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        proc = run_process(*argv, "--no-reid")
-        assert proc.returncode == EXIT_OK
+        for flags in ([], ["--no-reid"]):
+            proc = run_process(*argv, *flags)
+            assert proc.returncode == EXIT_SCHEMA
+            assert proc.stderr.startswith(
+                f"error[schema]: {seq}:4: field 'detections[0].descriptor'")
+            assert "Traceback" not in proc.stderr
 
     def test_descriptor_dimension_from_input(self, tmp_path, capsys):
         # The descriptors decide their length; only a change of length
@@ -175,8 +176,7 @@ class TestTrack:
         code, _, stderr = run(capsys, "track", str(seq), "-o", str(out))
         assert code == EXIT_SCHEMA
         assert stderr.startswith(
-            f"error[schema]: frame {rec['frame_index']}: descriptor has "
-            "dimension 4, expected 8")
+            f"error[schema]: {seq}:32: field 'detections[0].descriptor'")
 
     def test_stuck_timestamps_schema_error(self, tmp_path, capsys, sequence):
         # Timestamps that stop increasing are refused at load with exit 2,
@@ -259,6 +259,40 @@ class TestConfigFlags:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("command", ["track", "experiment"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--capacity", "-1"), ("--capacity", "0"), ("--n-id", "0"),
+        ("--n-id", "-3"), ("--lam", "nan"), ("--lam", "inf"),
+        ("--delta-switch", "nan"), ("--delta-id", "2"), ("--r-body", "0"),
+        ("--r-body", "-0.25"), ("--r-body", "nan")])
+    def test_bad_config_value_usage_error(self, tmp_path, command, flag,
+                                          value):
+        # Each config value is refused when the config is built, before
+        # any frame runs or output is written.
+        seq = tmp_path / "seq.jsonl"
+        seq.write_text(ONE_FRAME_SEQUENCE)
+        argv = ([command, str(seq), "--no-reid", "-o"] if command == "track"
+                else [command, "lab_corridor_like", "--out-dir"])
+        proc = run_process(*argv, str(tmp_path / "out"), f"{flag}={value}")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error[config]: ")
+        assert flag[2:].replace("-", "_") in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["st-sweep", "slt-vs-st",
+                                      "range-accuracy"])
+    def test_bad_reid_flag_refused_by_every_experiment(self, tmp_path, capsys,
+                                                       name):
+        # These experiments set their own re-ID configs, but a malformed
+        # flag is still refused rather than silently dropped.
+        code, _, stderr = run(capsys, "experiment", name, "--capacity=0",
+                              "--out-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert stderr.startswith("error[config]: ")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestValidateConfig:
     def test_valid_calibration(self, tmp_path, capsys):
         p = tmp_path / "calib.yaml"
@@ -284,3 +318,64 @@ class TestValidateConfig:
         code, _, stderr = run(capsys, "validate-config", "scenario", str(p))
         assert code == EXIT_SCHEMA
         assert stderr == f"error[schema]: {p}: field 'intrinsics.f_x': missing\n"
+
+    @pytest.mark.parametrize("command", ["generate", "validate-config"])
+    @pytest.mark.parametrize("extra, field", [
+        ("duration: .inf\n", "duration"), ("duration: .nan\n", "duration"),
+        ("duration: 1.0\nframe_rate: .nan\n", "frame_rate"),
+        ("duration: 1.0\nrobot_path: [[0.0, .nan, 0.0, 0.0]]\n",
+         "robot_path[0]"),
+        ("duration: 1.0\nrobot_path: [[0.0, 0.0, 0.0, .inf]]\n",
+         "robot_path[0]"),
+        ("duration: 1.0\npedestrians:\n"
+         "  - {id: 0, waypoints: [[0.0, .inf, 0.0]]}\n",
+         "pedestrians[0].waypoints[0]"),
+        ("duration: 1.0\npedestrians:\n"
+         "  - {id: 0, radius: .nan, waypoints: [[0.0, 3.0, 0.0]]}\n",
+         "pedestrians[0]"),
+        ("duration: 1.0\ndescriptor_noise_std: .nan\n", "descriptor_noise_std"),
+        ("duration: 1.0\ndescriptor_noise_std: -1.0\n", "descriptor_noise_std"),
+        ("duration: 1.0\nviewpoint_amplitude: .inf\n", "viewpoint_amplitude"),
+        ("duration: 1.0\ndescriptor_dim: 4\npedestrians:\n"
+         "  - {id: 0, waypoints: [[0.0, 3.0, 0.0]]}\n"
+         "  - {id: 1, cluster: 1, waypoints: [[0.0, 3.0, 1.0]]}\n",
+         "descriptor_dim")])
+    def test_bad_scenario_value_schema_error(self, tmp_path, capsys,
+                                             command, extra, field):
+        # Refused at load by validate-config and generate alike, not by a
+        # traceback from inside generate.
+        sc = tmp_path / "sc.yaml"
+        peds = ("" if "pedestrians" in extra else
+                "pedestrians:\n  - {id: 0, waypoints: [[0.0, 3.0, 0.0]]}\n")
+        sc.write_text("name: odd\n" + peds + extra)
+        argv = (["generate", str(sc), "-o", str(tmp_path / "seq.jsonl")]
+                if command == "generate"
+                else ["validate-config", "scenario", str(sc)])
+        code, _, stderr = run(capsys, *argv)
+        assert code == EXIT_SCHEMA
+        assert stderr.startswith(f"error[schema]: {sc}: {field}")
+        assert not (tmp_path / "seq.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["track", "validate-config"])
+    @pytest.mark.parametrize("f_x, extra, where", [
+        (".inf", "", "intrinsics"), (".nan", "", "intrinsics"),
+        ("-.inf", "", "intrinsics"), ("x", "", "intrinsics"),
+        ("500.0", "extrinsics: 5\n", "extrinsics"),
+        ("500.0", "extrinsics: {t_robot_cam: [a, 0, 0]}\n", "extrinsics"),
+        ("500.0", "extrinsics: {r_robot_cam: {rpy: [0, 1]}}\n", "extrinsics"),
+        (None, "intrinsics:\n", "field 'intrinsics'")])
+    def test_bad_calibration_value_schema_error(self, tmp_path, capsys,
+                                                command, f_x, extra, where):
+        calib = tmp_path / "calib.yaml"
+        calib.write_text(extra if f_x is None else (
+            f"intrinsics:\n  f_x: {f_x}\n  f_y: 500.0\n  c_x: 640.0\n"
+            "  c_y: 360.0\n  image_width: 1280\n  image_height: 720\n" + extra))
+        seq = tmp_path / "seq.jsonl"
+        seq.write_text(ONE_FRAME_SEQUENCE)
+        argv = (["track", str(seq), "--no-reid", "--calibration", str(calib),
+                 "-o", str(tmp_path / "t.jsonl")] if command == "track"
+                else ["validate-config", "calibration", str(calib)])
+        code, _, stderr = run(capsys, *argv)
+        assert code == EXIT_SCHEMA
+        assert stderr.startswith(f"error[schema]: {calib}: {where}")
+        assert not (tmp_path / "t.jsonl").exists()

@@ -72,17 +72,6 @@ class TestDescriptors:
         v = ext.extract([2.0, 0.0, 0.0, 0.0])
         np.testing.assert_allclose(v, [1, 0, 0, 0])
 
-    def test_dimension_mismatch(self):
-        # The first descriptor fixes the dimension; a refused one changes
-        # nothing.
-        ext = PassthroughExtractor()
-        with pytest.raises(ReidError):
-            ext.extract([0.0] * 4)
-        ext.extract([1.0] + [0.0] * 511)
-        with pytest.raises(ReidError, match="dimension 2, expected 512"):
-            ext.extract([1.0, 2.0])
-        assert ext.extract([0.0] * 511 + [2.0])[-1] == 1.0
-
     def test_zero_vector_rejected(self):
         with pytest.raises(ReidError):
             normalize_descriptor([0.0, 0.0])

@@ -1,10 +1,19 @@
+import contextlib
+import io
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mpfollow import cli
 from mpfollow.geometry import FORWARD_CAMERA_ROTATION
 from mpfollow.seqio import (
     SEQUENCE_FORMAT,
     SchemaError,
+    frame_to_record,
     load_calibration,
     load_scenario,
     read_sequence,
@@ -12,7 +21,7 @@ from mpfollow.seqio import (
     scenario_to_dict,
     write_sequence,
 )
-from mpfollow.sim import builtin_scenarios, generate
+from mpfollow.sim import Pedestrian, RobotPath, Scenario, builtin_scenarios, generate
 
 
 @pytest.fixture
@@ -96,6 +105,61 @@ class TestSequenceErrors:
                      f'{{"frame_index": 1, "timestamp": {second}, '
                      '"detections": []}\n')
         with pytest.raises(SchemaError, match=":3: field 'timestamp'"):
+            read_sequence(str(p))
+
+    def test_descriptor_length_fixed_by_first(self, tmp_path):
+        # The sequence's first descriptor fixes the length for every later
+        # one, in the same record or another.
+        def line(i, *descs):
+            return json.dumps({"frame_index": i, "timestamp": 0.1 * i,
+                               "detections": [{"box": [600, 200, 680, 500],
+                                               "descriptor": d} for d in descs]})
+        unit = [1.0] + [0.0] * 511
+        p = tmp_path / "seq.jsonl"
+        p.write_text(line(0) + "\n" + line(1, unit) + "\n"
+                     + line(2, unit, [0.0] * 511 + [2.0]) + "\n")
+        assert [f.detections[-1].descriptor.size
+                for f in read_sequence(str(p))[1:]] == [512, 512]
+        for bad in (line(2, unit, [1.0, 2.0]), line(2, [1.0, 2.0])):
+            p.write_text(line(0) + "\n" + line(1, unit) + "\n" + bad + "\n")
+            with pytest.raises(SchemaError, match=r":3: field 'detections"
+                               r"\[\d\]\.descriptor': .* the sequence's first"):
+                read_sequence(str(p))
+
+    @pytest.mark.parametrize("field, value", [
+        ("frame_index", "x"), ("frame_index", 3.7), ("frame_index", True),
+        ("detections", {"box": [600, 200, 680, 500]}), ("detections", [3]),
+        ("box", [0, 100, np.inf, 400]), ("box", [0, 100, 1e-160, 400]),
+        ("box", [600, 200, 600.5, 500]), ("box", [600, 500, 680, 200]),
+        ("box", [600, "200", 680, 500]), ("box", [600, True, 680, 500]),
+        ("descriptor", [0.0] * 8), ("descriptor", [np.nan] + [1.0] * 7),
+        ("descriptor", [np.inf] + [1.0] * 7), ("descriptor", [1e200] * 8),
+        ("descriptor", [1.0] * 7), ("descriptor", ["1.0"] * 8),
+        ("descriptor", [[1.0] * 8]), ("descriptor", [10 ** 400] * 8),
+        ("descriptor", 1.0),
+        ("robot_pose", [0, np.nan, 0]), ("robot_pose", ["0", "0", "0"]),
+        ("robot_pose", 0.0), ("robot_pose", [0, 0]),
+        ("person_id", "0"), ("person_id", 1.5),
+        ("ground_truth", {"x": [1.0, 2.0]}), ("ground_truth", {"0": 3.0}),
+        ("ground_truth", [[1.0, 2.0]]), ("ground_truth", {"0": [1.0]}),
+        ("ground_truth", {"0": [1.0, np.inf]}),
+    ])
+    def test_malformed_value_refused_at_load(self, tmp_path, field, value):
+        # Each value is checked once, at load; the error names the file,
+        # the line and the field. The second line holds the bad value.
+        ok = {"frame_index": 0, "timestamp": 0.0, "robot_pose": [0, 0, 0],
+              "detections": [{"box": [600, 200, 680, 500],
+                              "descriptor": [1.0] * 8, "person_id": 0}],
+              "ground_truth": {"0": [3.0, 0.0]}}
+        bad = json.loads(json.dumps(ok)) | {"frame_index": 1,
+                                             "timestamp": 0.1}
+        owner = bad["detections"][0] if field in (
+            "box", "descriptor", "person_id") else bad
+        owner[field] = value
+        p = tmp_path / "bad.jsonl"
+        p.write_text(json.dumps(ok) + "\n" + json.dumps(bad) + "\n")
+        where = "detections[0]." + field if owner is not bad else field
+        with pytest.raises(SchemaError, match=re.escape(f"{p}:2: field '{where}")):
             read_sequence(str(p))
 
     def test_increasing_timestamps_accepted(self, tmp_path):
@@ -190,3 +254,88 @@ class TestScenarioFiles:
                      "pedestrians:\n  - id: 0\n")
         with pytest.raises(SchemaError, match="waypoints"):
             load_scenario(str(p))
+
+
+# ---------------------------------------------------------------------------
+# The loader owns the sequence contract: whatever one line holds, the file
+# is either refused at load, naming that line, or tracked to the end.
+
+def _short_sequence():
+    # 5-value descriptors, so that drawn lists can have the right length.
+    sc = Scenario(name="short", duration=1.2, descriptor_dim=5,
+                  box_pixel_std=0.5, robot_path=RobotPath([(0.0, 0.0, 0.0, 0.0)]),
+                  pedestrians=[Pedestrian(0, [(0.0, 3.0, 0.6)]),
+                               Pedestrian(1, [(0.0, 3.0, -0.8)], cluster=1)])
+    return [frame_to_record(f) for f in generate(sc, seed=0)]
+
+
+RECORDS = _short_sequence()
+FIELDS = ("frame_index", "timestamp", "robot_pose", "detections",
+          "ground_truth", "ground_truth.0", "box", "descriptor", "person_id")
+json_numbers = (st.integers() | st.floats()
+                | st.sampled_from([1e300, -1e300, 1e-300, 1e-160, 0.0]))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4) | json_numbers,
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=10)
+
+
+def _track(path, *flags):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["track", path, "-o", path + ".tracks", *flags])
+
+
+@given(st.integers(0, len(RECORDS) - 1), st.sampled_from(FIELDS), json_values)
+@example(8, "box", [0, 100, 1e-160, 400])
+@example(8, "descriptor", ["a"] * 5)
+@example(8, "descriptor", [[1.0] * 5])
+@example(8, "frame_index", 3.7)
+@example(8, "ground_truth", [[1.0, 2.0]])
+@example(0, "timestamp", -1e300)  # found by this test: a 1e300-s frame gap
+@settings(max_examples=150, deadline=None)
+def test_any_one_value_is_refused_at_load_or_tracked(tmp_path_factory, k,
+                                                     field, value):
+    records = json.loads(json.dumps(RECORDS))
+    rec = records[k]
+    if field in ("box", "descriptor", "person_id"):
+        if not rec["detections"]:
+            return
+        rec["detections"][0][field] = value
+    elif field == "ground_truth.0":
+        rec["ground_truth"]["0"] = value
+    else:
+        rec[field] = value
+    path = str(tmp_path_factory.mktemp("seq") / "seq.jsonl")
+    with open(path, "w") as f:
+        f.write("".join(json.dumps(r) + "\n" for r in records))
+    try:
+        read_sequence(path)
+    except SchemaError as e:
+        # A timestamp that is fine on its own can instead break the next
+        # line's order.
+        lines = {f"{path}:{k + 1}:"} | ({f"{path}:{k + 2}:"}
+                                         if field == "timestamp" else set())
+        assert any(str(e).startswith(line) for line in lines), str(e)
+        return
+    assert _track(path) == 0
+    assert _track(path, "--no-reid") == 0
+
+
+def test_person_walking_off_the_image_loads_and_tracks(tmp_path):
+    # Person 0 slowly crosses the right image edge (y = -3.84 m at 3 m), so
+    # its clipped box shrinks until the person is gone; generate keeps no
+    # box that track would refuse.
+    sc = Scenario(name="exit", duration=8.0, box_pixel_std=0.5,
+                  robot_path=RobotPath([(0.0, 0.0, 0.0, 0.0)]),
+                  pedestrians=[Pedestrian(0, [(0.0, 3.0, -3.6), (8.0, 3.0, -4.1)]),
+                               Pedestrian(1, [(0.0, 3.0, 1.0)], cluster=1)])
+    frames = generate(sc, seed=0)
+    widths = [d.box.width for f in frames for d in f.detections
+              if d.person_id == 0]
+    assert min(widths) < 3 and len(widths) < len(frames)  # it did leave
+    path = tmp_path / "seq.jsonl"
+    write_sequence(frames, str(path))
+    assert len(read_sequence(str(path))) == len(frames)
+    assert _track(str(path)) == 0
+    assert _track(str(path), "--no-reid") == 0
