@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import evaluation, seqio, sim
 from .pipeline import FollowPipeline
@@ -64,9 +65,8 @@ def _reid_config(args):
 
 def _print_config(args, tracker_cfg, reid_cfg):
     if args.print_config:
-        resolved = {"tracker": vars(tracker_cfg) | {
-            "process_noise_std": list(tracker_cfg.process_noise_std)},
-            "reid": vars(reid_cfg), "seed": args.seed}
+        resolved = {"tracker": vars(tracker_cfg), "reid": vars(reid_cfg),
+                    "seed": args.seed}
         print(json.dumps(resolved, indent=2, sort_keys=True))
 
 
@@ -124,49 +124,50 @@ def cmd_track(args):
     return EXIT_OK
 
 
-def _run_named(scenario, out_dir, seed, tracker_cfg, reid_cfg, label,
-               reid_enabled=True):
-    reid_result, stats, _ = evaluation.run_experiment(
-        scenario, tracker_cfg, reid_cfg, seed=seed, reid_enabled=reid_enabled,
-        out_dir=os.path.join(out_dir, label))
-    return reid_result, stats
-
-
 def cmd_experiment(args):
+    """Run a named experiment with the configs the flags give; a sweep
+    overrides only the fields it sweeps, and refuses flags for them."""
     out_dir = _out_dir(args)
     tracker_cfg = _tracker_config(args)
-    reid_cfg = _reid_config(args)  # refused here even where unused
+    reid_cfg = _reid_config(args)
     seed = args.seed
     scenarios = sim.builtin_scenarios()
     name = args.name
-
+    if name in ("st-sweep", "slt-vs-st") and (
+            args.mode is not None or args.capacity is not None):
+        raise CliError("config", f"experiment {name} sets --mode and "
+                       "--capacity itself", EXIT_USAGE)
     if name == "st-sweep":
         print("scenario=room_like mode=ST capacity sweep")
         for cap in (16, 32, 64, 128):
-            cfg = ReidConfig(mode="ST", capacity=cap)
-            r, _ = _run_named(scenarios["room_like"], out_dir, seed,
-                              tracker_cfg, cfg, f"st_{cap}")
+            r, _, _ = evaluation.run_experiment(
+                scenarios["room_like"], tracker_cfg,
+                replace(reid_cfg, mode="ST", capacity=cap), seed=seed,
+                out_dir=os.path.join(out_dir, f"st_{cap}"))
             print(f"GRR_ST_{cap} precision@50px {r.ap:.3f}")
     elif name == "slt-vs-st":
         print("scenario=corridor1_like GRR_SLT_64 vs GRR_ST_64")
         for mode in ("ST", "SLT"):
-            cfg = ReidConfig(mode=mode, capacity=64)
-            r, _ = _run_named(scenarios["corridor1_like"], out_dir, seed,
-                              tracker_cfg, cfg, f"{mode.lower()}_64")
+            r, _, _ = evaluation.run_experiment(
+                scenarios["corridor1_like"], tracker_cfg,
+                replace(reid_cfg, mode=mode, capacity=64), seed=seed,
+                out_dir=os.path.join(out_dir, f"{mode.lower()}_64"))
             print(f"GRR_{mode}_64 precision@50px {r.ap:.3f}")
     elif name == "range-accuracy":
-        cfg = TrackerConfig(measurement_noise_std=0.3, gate_distance=2.0)
-        _, stats = _run_named(scenarios["range_sweep"], out_dir, seed,
-                              cfg, ReidConfig(), "range_accuracy",
-                              reid_enabled=False)
+        _, stats, _ = evaluation.run_experiment(
+            scenarios["range_sweep"],
+            replace(tracker_cfg, measurement_noise_std=0.3, gate_distance=2.0),
+            reid_cfg, seed=seed, reid_enabled=False,
+            out_dir=os.path.join(out_dir, "range_accuracy"))
         print("bin_lo bin_hi count mae")
         for b in stats.bins:
             print(f"{b['lo']:g} {b['hi']:g} {b['count']} "
                   f"{b['mean_abs_error']:.4f}")
     elif name in scenarios:
         _print_config(args, tracker_cfg, reid_cfg)
-        r, stats = _run_named(scenarios[name], out_dir, seed, tracker_cfg,
-                              reid_cfg, name)
+        r, _, _ = evaluation.run_experiment(
+            scenarios[name], tracker_cfg, reid_cfg, seed=seed,
+            out_dir=os.path.join(out_dir, name))
         print(f"{name} precision@50px {r.ap:.3f}")
     else:
         raise CliError("usage", f"unknown experiment '{name}'", EXIT_USAGE)

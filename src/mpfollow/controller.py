@@ -7,9 +7,7 @@ width-based range estimate assumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,7 @@ class EvaluationError(ValueError):
 @dataclass
 class ReidResult:
     frames: list                      # (frame_index, est_center, gt_center)
-    precision: dict = field(default_factory=dict)
-    ap: float = 0.0
+    ap: float = 0.0                   # precision at THRESHOLD_PX
 
 
 @dataclass
@@ -39,8 +38,8 @@ class RangeErrorStats:
     bins: list                        # per-bin dicts
 
 
-def reid_precision(frames, thresholds):
-    """Precision of target localization at each pixel threshold.
+def reid_precision(frames):
+    """Precision of target localization within THRESHOLD_PX.
 
     frames: iterable of (frame_index, est_center or None, gt_center or None).
     Frames without ground truth are skipped; frames with ground truth but
@@ -49,16 +48,9 @@ def reid_precision(frames, thresholds):
     evaluated = [(est, gt) for _, est, gt in frames if gt is not None]
     if not evaluated:
         raise EvaluationError("no frames with ground truth")
-    out = {}
-    for t in thresholds:
-        hits = 0
-        for est, gt in evaluated:
-            if est is None:
-                continue
-            if math.hypot(est[0] - gt[0], est[1] - gt[1]) <= t:
-                hits += 1
-        out[float(t)] = hits / len(evaluated)
-    return out
+    hits = sum(1 for est, gt in evaluated if est is not None
+               and math.hypot(est[0] - gt[0], est[1] - gt[1]) <= THRESHOLD_PX)
+    return hits / len(evaluated)
 
 
 def range_error_stats(pairs) -> RangeErrorStats:
@@ -165,8 +157,7 @@ def run_experiment(source, tracker_cfg=None, reid_cfg=None, seed=0,
             "n_tracks": len(result.tracks),
         })
 
-    precision = reid_precision(reid_frames, [THRESHOLD_PX])
-    reid_result = ReidResult(reid_frames, precision, ap=precision[THRESHOLD_PX])
+    reid_result = ReidResult(reid_frames, reid_precision(reid_frames))
     stats = range_error_stats(range_pairs)
 
     if out_dir is not None:
@@ -179,8 +170,7 @@ def metrics_text(reid_result: ReidResult, stats: RangeErrorStats) -> str:
     lines = [f"format {METRICS_FORMAT}"]
     lines.append(f"precision_threshold_px {THRESHOLD_PX:g}")
     lines.append(f"ap {reid_result.ap:.6f}")
-    for t in sorted(reid_result.precision):
-        lines.append(f"precision@{t:g}px {reid_result.precision[t]:.6f}")
+    lines.append(f"precision@{THRESHOLD_PX:g}px {reid_result.ap:.6f}")
     for b in stats.bins:
         key = f"range_bin_{b['lo']:g}_{b['hi']:g}"
         lines.append(f"{key}_count {b['count']}")

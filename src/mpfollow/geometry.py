@@ -11,7 +11,7 @@ All transforms are of the form  p_dst = R @ p_src + t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,41 +73,19 @@ def _check_rotation(R, name):
 
 @dataclass(frozen=True)
 class Extrinsics:
-    """World->robot and robot->camera rigid transforms."""
+    """World->robot and robot->camera rigid transforms, (3, 3) and (3,) arrays;
+    robot_pose_extrinsics and seqio.load_calibration check their inputs."""
 
     R_world_robot: np.ndarray
     t_world_robot: np.ndarray
     R_robot_cam: np.ndarray
     t_robot_cam: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "R_world_robot", _check_rotation(self.R_world_robot, "R_world_robot")
-        )
-        object.__setattr__(
-            self, "R_robot_cam", _check_rotation(self.R_robot_cam, "R_robot_cam")
-        )
-        for name in ("t_world_robot", "t_robot_cam"):
-            t = np.asarray(getattr(self, name), dtype=float).reshape(3)
-            object.__setattr__(self, name, t)
-
     def world_to_camera(self, p_world):
         """Full rigid chain: world point -> camera frame."""
         p_world = np.asarray(p_world, dtype=float).reshape(3)
         p_robot = self.R_world_robot @ p_world + self.t_world_robot
         return self.R_robot_cam @ p_robot + self.t_robot_cam
-
-    @staticmethod
-    def identity():
-        return Extrinsics(np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
-
-    @classmethod
-    def _unchecked(cls, *values):
-        """Skip validation: only for rotations that are valid by construction."""
-        extr = object.__new__(cls)
-        for f, value in zip(fields(cls), values):
-            object.__setattr__(extr, f.name, value)
-        return extr
 
 
 def rotation_z(theta):
@@ -131,7 +109,7 @@ def robot_pose_extrinsics(x, y, theta, R_robot_cam=None, t_robot_cam=None):
             else _check_rotation(R_robot_cam, "R_robot_cam"))
     t_rc = np.zeros(3) if t_robot_cam is None else (
         np.asarray(t_robot_cam, dtype=float).reshape(3))
-    return Extrinsics._unchecked(R_wr, t_wr, R_rc, t_rc)
+    return Extrinsics(R_wr, t_wr, R_rc, t_rc)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,6 @@ from .tracker import DetectionSet, Tracker, TrackerConfig
 
 @dataclass
 class FrameResult:
-    frame_index: int
-    timestamp: float
     mode: str
     target_track_id: int | None
     target_box: object            # BoundingBox or None
@@ -55,10 +53,8 @@ class FollowPipeline:
         self.tracker = Tracker(intr, geometry.robot_pose_extrinsics(0, 0, 0),
                                self.tracker_cfg)
         self.extractor = PassthroughExtractor()
-        self.sample_set = SampleSet(
-            self.reid_cfg.capacity, self.reid_cfg.mode,
-            self.reid_cfg.long_term_fraction,
-            rng=np.random.default_rng(seed))
+        self.sample_set = SampleSet(self.reid_cfg.capacity, self.reid_cfg.mode,
+                                    rng=np.random.default_rng(seed))
         self.classifier = RidgeClassifier(lam=self.reid_cfg.lam)
         self.state = FollowerState()
         self._bootstrapped = False
@@ -75,7 +71,7 @@ class FollowPipeline:
         associations = {tid: record.detections[k].box
                         for tid, k in matched.items()}
         if not self.reid_enabled:
-            return self._result(record, None, associations, {})
+            return self._result(None, associations, {})
 
         track_desc, track_person = {}, {}
         for tid, k in matched.items():
@@ -106,7 +102,7 @@ class FollowPipeline:
 
         if target is not None:
             self._learn(target, track_desc, record.frame_index, associations)
-        return self._result(record, target, associations, scores)
+        return self._result(target, associations, scores)
 
     def _try_bootstrap(self, track_person):
         """Operator-style target designation by ground-truth person id."""
@@ -122,10 +118,8 @@ class FollowPipeline:
 
     def _learn(self, target_tid, track_desc, frame_index, associations):
         order = self._negatives_by_image_distance(target_tid, associations)
-        samples = reid.label_frame_samples(
-            target_tid, track_desc, frame_index,
-            max_negatives=self.reid_cfg.max_negatives_per_frame,
-            negative_order=order)
+        samples = reid.label_frame_samples(target_tid, track_desc, frame_index,
+                                           negative_order=order)
         if samples:
             reid.update_samples(self.sample_set, samples)
             reid.train(self.classifier, self.sample_set)
@@ -139,7 +133,7 @@ class FollowPipeline:
             item[0]))
         return [tid for tid, _ in others]
 
-    def _result(self, record, target, associations, scores):
+    def _result(self, target, associations, scores):
         rows = []
         for t in self.tracker.confirmed_tracks():
             box = associations.get(t.id)
@@ -150,8 +144,6 @@ class FollowPipeline:
             if tid == target:
                 target_box, target_pos = box, (x, y)
         return FrameResult(
-            frame_index=record.frame_index,
-            timestamp=record.timestamp,
             mode=self.state.mode.value,
             target_track_id=target,
             target_box=target_box,

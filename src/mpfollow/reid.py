@@ -51,13 +51,11 @@ class ReidConfig:
     lam: float = 1e-2
     capacity: int = 64
     mode: str = "ST"                 # "ST" or "SLT"
-    long_term_fraction: float = 0.5
-    max_negatives_per_frame: int = 3
 
     def __post_init__(self):
         if self.mode not in ("ST", "SLT"):
             raise ReidError("mode must be ST or SLT")
-        for name in ("delta_switch", "delta_id", "long_term_fraction"):
+        for name in ("delta_switch", "delta_id"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ReidError(f"{name} must be in [0, 1]")
         if not 0 < self.lam < math.inf:
@@ -69,15 +67,16 @@ class ReidConfig:
 class SampleSet:
     """Bounded training set with short-term FIFO and optional long-term reservoir.
 
-    In SLT mode the long-term half holds only target samples, maintained
-    by uniform reservoir sampling over every target sample ever seen, so
-    historic appearance survives long stretches of unhelpful recent data.
+    In SLT mode the long-term half (capacity // 2 slots) holds only target
+    samples, maintained by uniform reservoir sampling over every target
+    sample ever seen, so historic appearance survives long stretches of
+    unhelpful recent data.
     """
 
-    def __init__(self, capacity, mode="ST", long_term_fraction=0.5, rng=None):
+    def __init__(self, capacity, mode="ST", rng=None):
         self.mode = mode
         if mode == "SLT":
-            self.long_capacity = int(long_term_fraction * capacity)
+            self.long_capacity = capacity // 2
             self.short_capacity = capacity - self.long_capacity
         else:
             self.long_capacity = 0

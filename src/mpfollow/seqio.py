@@ -21,6 +21,7 @@ from .geometry import (
     BoundingBox,
     CameraIntrinsics,
     Extrinsics,
+    _check_rotation,
 )
 from .sim import (
     Detection,
@@ -193,6 +194,7 @@ def write_tracks(rows, path):
 
 
 def _parse_rotation(value, field):
+    """A calibration rotation; one given by numbers must be a rotation matrix."""
     if value is None or value == "identity":
         return np.eye(3)
     if value == "forward":
@@ -206,12 +208,19 @@ def _parse_rotation(value, field):
         Rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
         Ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
         Rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
-        return Rz @ Ry @ Rx
+        return _check_rotation(Rz @ Ry @ Rx, field)
     vals = _numbers(value, 9)
     if vals is None:
         raise SchemaError(f"field '{field}': expected 9 numbers (row-major), "
                           "{rpy: [3 numbers]}, 'identity' or 'forward'")
-    return np.array(vals).reshape(3, 3)
+    return _check_rotation(np.array(vals).reshape(3, 3), field)
+
+
+def _parse_translation(value, field):
+    vals = _numbers(value, 3)
+    if vals is None:
+        raise SchemaError(f"field '{field}': expected 3 numbers within ±{_LIMIT:g}")
+    return np.array(vals)
 
 
 def _read_yaml(path):
@@ -227,11 +236,14 @@ def _parse_intrinsics(intr) -> CameraIntrinsics:
     for field in ("f_x", "f_y", "c_x", "c_y", "image_width", "image_height"):
         if field not in intr:
             raise SchemaError(f"field 'intrinsics.{field}': missing")
+    for field in ("image_width", "image_height"):
+        if type(intr[field]) is not int:
+            raise SchemaError(f"field 'intrinsics.{field}': expected an integer")
     try:
         return CameraIntrinsics(
             float(intr["f_x"]), float(intr["f_y"]),
             float(intr["c_x"]), float(intr["c_y"]),
-            int(intr["image_width"]), int(intr["image_height"]))
+            intr["image_width"], intr["image_height"])
     except (TypeError, ValueError, OverflowError) as e:  # GeometryError too
         raise SchemaError(f"intrinsics: {e}") from e
 
@@ -250,11 +262,13 @@ def load_calibration(path):
     try:
         extrinsics = Extrinsics(
             _parse_rotation(extr.get("r_world_robot"), "extrinsics.r_world_robot"),
-            np.asarray(extr.get("t_world_robot", [0, 0, 0]), dtype=float),
+            _parse_translation(extr.get("t_world_robot", [0, 0, 0]),
+                               "extrinsics.t_world_robot"),
             _parse_rotation(extr.get("r_robot_cam", "forward"),
                             "extrinsics.r_robot_cam"),
-            np.asarray(extr.get("t_robot_cam", [0, 0, 0]), dtype=float))
-    except (AttributeError, TypeError, ValueError) as e:  # GeometryError too
+            _parse_translation(extr.get("t_robot_cam", [0, 0, 0]),
+                               "extrinsics.t_robot_cam"))
+    except (AttributeError, ValueError) as e:  # SchemaError, GeometryError too
         raise SchemaError(f"{path}: extrinsics: {e}") from e
     return intrinsics, extrinsics
 

@@ -28,6 +28,8 @@ DEFAULT_INTRINSICS = CameraIntrinsics(
     f_x=500.0, f_y=500.0, c_x=640.0, c_y=360.0,
     image_width=1280, image_height=720)
 
+OVERLAP_OCCLUSION_THRESHOLD = 0.7  # most of a box a nearer box may hide
+
 
 @dataclass
 class OcclusionEvent:
@@ -116,7 +118,6 @@ class Scenario:
     occlusions: list = field(default_factory=list)
     drifts: list = field(default_factory=list)
     target_id: int = 0
-    overlap_occlusion_threshold: float = 0.7
 
     def validate(self):
         if not 0 < self.frame_rate < math.inf:
@@ -232,7 +233,7 @@ def generate(scenario: Scenario, seed: int):
             covered = max((_coverage(box, other_box)
                            for q, other_box, other_depth in candidates
                            if q.id != p.id and other_depth < depth), default=0.0)
-            if covered > scenario.overlap_occlusion_threshold:
+            if covered > OVERLAP_OCCLUSION_THRESHOLD:
                 continue
             if scenario.box_pixel_std > 0:
                 box = _jitter_box(box, scenario.box_pixel_std,

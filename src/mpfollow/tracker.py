@@ -14,12 +14,11 @@ run it on one row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import (
-    BoundingBox,
     CameraIntrinsics,
     Extrinsics,
     build_observation_model,
@@ -29,23 +28,25 @@ from .geometry import (
 )
 
 
+PROCESS_NOISE_STD = (0.02, 0.05)  # (position m, velocity m/s) per sqrt(s)
+MAX_MISSED = 30                    # unmatched frames before track deletion
+MIN_HITS = 2                       # matches before a track is confirmed
+INIT_POSITION_STD = 0.5            # meters
+INIT_VELOCITY_STD = 1.0            # m/s
+
+
 @dataclass
 class TrackerConfig:
     delta_iou: float = 0.5          # mutual-overlap rejection threshold
-    process_noise_std: tuple = (0.02, 0.05)  # (position m, velocity m/s)
     measurement_noise_std: float = 0.1       # meters
     gate_distance: float = 1.0               # meters, Euclidean gate
-    max_missed: int = 30                     # frames before track deletion
     r_body: float = 0.25                     # assumed body width, meters
-    min_hits: int = 2                        # matches before a track is confirmed
-    init_position_std: float = 0.5
-    init_velocity_std: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.delta_iou <= 1.0:
             raise ValueError("delta_iou must be in [0, 1]")
-        if min(self.process_noise_std) <= 0 or self.measurement_noise_std <= 0:
-            raise ValueError("noise stds must be positive")
+        if self.measurement_noise_std <= 0:
+            raise ValueError("measurement_noise_std must be positive")
         if not 0 < self.r_body < math.inf:
             raise ValueError("r_body must be positive and finite")
 
@@ -61,14 +62,12 @@ class TrackState:
     id: int
     s: np.ndarray                 # [x, y, xdot, ydot]
     P: np.ndarray                 # 4x4 covariance
-    age: int = 0
     missed: int = 0
     hits: int = 0
-    last_box: BoundingBox | None = None
     valid: bool = True
 
-    def confirmed(self, min_hits):
-        return self.hits >= min_hits
+    def confirmed(self):
+        return self.hits >= MIN_HITS
 
 
 @dataclass
@@ -76,7 +75,7 @@ class DetectionSet:
     boxes: list
     frame_index: int = 0
     timestamp: float = 0.0
-    indices: list | None = None   # each box's index in the frame; None: 0..n-1
+    indices: list | None = None   # by filter_overlaps: each box's index in the frame
 
 
 def filter_overlaps(dets: DetectionSet, delta_iou: float) -> DetectionSet:
@@ -85,7 +84,7 @@ def filter_overlaps(dets: DetectionSet, delta_iou: float) -> DetectionSet:
     IoU is symmetric, so each unordered pair is computed once and counts
     for both boxes. In a sweep over boxes sorted by u_tl, a box starting
     at or right of a's right edge ends a's pairs: its IoU with a is 0.
-    The result's indices point into the frame's boxes.
+    The result's indices point into dets.boxes.
     """
     boxes = dets.boxes
     worst = [0.0] * len(boxes)
@@ -101,9 +100,7 @@ def filter_overlaps(dets: DetectionSet, delta_iou: float) -> DetectionSet:
             if v > worst[j]:
                 worst[j] = v
     keep = [i for i, w in enumerate(worst) if w < delta_iou]
-    source = dets.indices if dets.indices is not None else range(len(boxes))
-    return replace(dets, boxes=[boxes[i] for i in keep],
-                   indices=[source[i] for i in keep])
+    return replace(dets, boxes=[boxes[i] for i in keep], indices=keep)
 
 
 def _transition(dt):
@@ -113,9 +110,8 @@ def _transition(dt):
     return F
 
 
-def _process_noise(dt, cfg: TrackerConfig):
-    sp, sv = cfg.process_noise_std
-    return np.diag([sp**2, sp**2, sv**2, sv**2]) * dt
+_SP, _SV = PROCESS_NOISE_STD
+_PROCESS_NOISE_RATE = np.diag([_SP**2, _SP**2, _SV**2, _SV**2])  # Q / dt
 
 
 def _transpose(A):
@@ -126,13 +122,11 @@ def _transpose(A):
 # matrix-vector product per row, (F @ S[..., None])[..., 0], and never
 # S @ F.T, whose sums round differently.
 
-def _predict_rows(S, P, dt, cfg: TrackerConfig):
+def _predict_rows(S, P, dt):
     """Constant-velocity prediction of stacked means (n, 4) and covariances (n, 4, 4)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     F = _transition(dt)
     S = (F @ S[..., None])[..., 0]
-    P = F @ P @ F.T + _process_noise(dt, cfg)
+    P = F @ P @ F.T + _PROCESS_NOISE_RATE * dt
     return S, 0.5 * (P + _transpose(P))
 
 
@@ -153,9 +147,11 @@ def _update_rows(S, P, Y, H, measurement_noise_std):
     return S, 0.5 * (P + _transpose(P)), valid
 
 
-def predict(track: TrackState, dt: float, cfg: TrackerConfig) -> TrackState:
+def predict(track: TrackState, dt: float) -> TrackState:
     """Constant-velocity prediction of one track over dt seconds."""
-    S, P = _predict_rows(track.s[None], track.P[None], dt, cfg)
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    S, P = _predict_rows(track.s[None], track.P[None], dt)
     return replace(track, s=S[0], P=P[0])
 
 
@@ -302,7 +298,7 @@ class Tracker:
         self.extr = extr
         self.H = build_observation_model(extr)
 
-    def _new_track(self, y, box):
+    def _new_track(self, y):
         # Invert the position block of H to seed the world position.
         A = self.H[:, :2]
         try:
@@ -310,9 +306,9 @@ class Tracker:
         except np.linalg.LinAlgError:
             pos, *_ = np.linalg.lstsq(A, y, rcond=None)
         s = np.array([pos[0], pos[1], 0.0, 0.0])
-        P = np.diag([self.cfg.init_position_std**2, self.cfg.init_position_std**2,
-                     self.cfg.init_velocity_std**2, self.cfg.init_velocity_std**2])
-        track = TrackState(id=self._next_id, s=s, P=P, hits=1, last_box=box)
+        P = np.diag([INIT_POSITION_STD**2, INIT_POSITION_STD**2,
+                     INIT_VELOCITY_STD**2, INIT_VELOCITY_STD**2])
+        track = TrackState(id=self._next_id, s=s, P=P, hits=1)
         self._next_id += 1
         return track
 
@@ -350,45 +346,39 @@ class Tracker:
         det_index = [kept.indices[k] for k in found]
 
         if self.tracks:
-            self._S[:], self._P[:] = _predict_rows(self._S, self._P, dt, cfg)
-        for t in self.tracks:
-            t.age += 1
+            self._S[:], self._P[:] = _predict_rows(self._S, self._P, dt)
 
         pairs, unmatched_t, unmatched_m = associate(
             self.tracks, measurements, self.H, cfg.gate_distance)
 
         associations = {}
         if pairs:
-            rows = np.array([i for i, _ in pairs])
-            S, P, valid = _update_rows(
+            # associate refuses a non-finite cost, and each innovation is
+            # minus its pair's cost vector, so every innovation is finite.
+            rows = [i for i, _ in pairs]
+            self._S[rows], self._P[rows], _ = _update_rows(
                 self._S[rows], self._P[rows],
                 measurements[[j for _, j in pairs]], self.H,
                 cfg.measurement_noise_std)
-            self._S[rows[valid]] = S[valid]
-            self._P[rows[valid]] = P[valid]
-            for (i, j), ok in zip(pairs, valid):
+            for i, j in pairs:
                 t = self.tracks[i]
-                t.valid = bool(ok)
                 t.missed = 0
                 t.hits += 1
-                t.last_box = dets.boxes[det_index[j]]
-                if t.valid and t.confirmed(cfg.min_hits):
+                if t.confirmed():
                     associations[t.id] = det_index[j]
         for i in unmatched_t:
             t = self.tracks[i]
             t.missed += 1
-            if not t.confirmed(cfg.min_hits):
+            if not t.confirmed():
                 t.valid = False  # tentative track lost before confirmation
         for j in unmatched_m:
-            self.tracks.append(
-                self._new_track(measurements[j], dets.boxes[det_index[j]]))
+            self.tracks.append(self._new_track(measurements[j]))
 
-        alive = [t for t in self.tracks
-                 if t.valid and t.missed <= cfg.max_missed]
+        alive = [t for t in self.tracks if t.valid and t.missed <= MAX_MISSED]
         if unmatched_m or len(alive) < len(self.tracks):
             self.tracks = alive
             self._restack()
         return self.tracks, associations
 
     def confirmed_tracks(self):
-        return [t for t in self.tracks if t.confirmed(self.cfg.min_hits)]
+        return [t for t in self.tracks if t.confirmed()]

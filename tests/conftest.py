@@ -18,7 +18,7 @@ def wide_intr():
 
 @pytest.fixture
 def identity_extr():
-    return Extrinsics.identity()
+    return Extrinsics(np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
 
 
 @pytest.fixture

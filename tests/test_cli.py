@@ -3,13 +3,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import mpfollow
 from mpfollow import evaluation
 from mpfollow.cli import EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
+from mpfollow.reid import ReidConfig
 from mpfollow.seqio import load_scenario
+from mpfollow.tracker import TrackerConfig
 
 
 def run(capsys, *argv):
@@ -203,6 +206,10 @@ class TestTrack:
         cfg = json.loads(stdout[:stdout.index("wrote")])
         assert cfg["reid"]["capacity"] == 32
         assert cfg["reid"]["mode"] == "SLT"
+        assert sorted(cfg["tracker"]) == ["delta_iou", "gate_distance",
+                                          "measurement_noise_std", "r_body"]
+        assert sorted(cfg["reid"]) == ["capacity", "delta_id", "delta_switch",
+                                       "lam", "mode", "n_id"]
 
     def test_schema_error_on_bad_sequence(self, tmp_path, capsys):
         seq = tmp_path / "bad.jsonl"
@@ -284,12 +291,69 @@ class TestConfigFlags:
                                       "range-accuracy"])
     def test_bad_reid_flag_refused_by_every_experiment(self, tmp_path, capsys,
                                                        name):
-        # These experiments set their own re-ID configs, but a malformed
-        # flag is still refused rather than silently dropped.
+        # A malformed flag is refused, also by range-accuracy, which runs
+        # with re-ID off.
         code, _, stderr = run(capsys, "experiment", name, "--capacity=0",
                               "--out-dir", str(tmp_path))
         assert code == EXIT_USAGE
         assert stderr.startswith("error[config]: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name, flags, runs", [
+        ("st-sweep", ["--lam", "5", "--delta-id", "0.9", "--r-body", "0.3"],
+         [("room_like", {"r_body": 0.3},
+           {"lam": 5.0, "delta_id": 0.9, "mode": "ST", "capacity": c}, True)
+          for c in (16, 32, 64, 128)]),
+        ("slt-vs-st", ["--lam", "5", "--delta-id", "0.9"],
+         [("corridor1_like", {}, {"lam": 5.0, "delta_id": 0.9, "mode": m,
+                                  "capacity": 64}, True) for m in ("ST", "SLT")]),
+        ("range-accuracy", ["--r-body", "0.5", "--delta-iou", "0.1",
+                            "--n-id", "2"],
+         [("range_sweep", {"r_body": 0.5, "delta_iou": 0.1,
+                           "measurement_noise_std": 0.3, "gate_distance": 2.0},
+           {"n_id": 2}, False)]),
+        ("room_like", ["--mode", "SLT", "--capacity", "8", "--delta-iou", "0.2"],
+         [("room_like", {"delta_iou": 0.2}, {"mode": "SLT", "capacity": 8},
+           True)])])
+    def test_experiment_runs_with_flag_configs(self, tmp_path, capsys,
+                                               monkeypatch, name, flags, runs):
+        # Each run gets the configs the flags give; an experiment sets only
+        # the fields it sweeps.
+        seen = []
+
+        def fake_run(scenario, tracker_cfg, reid_cfg, seed, reid_enabled=True,
+                     out_dir=None):
+            seen.append((scenario.name, tracker_cfg, reid_cfg, reid_enabled))
+            return SimpleNamespace(ap=0.5), SimpleNamespace(bins=[]), []
+
+        monkeypatch.setattr(evaluation, "run_experiment", fake_run)
+        code, _, _ = run(capsys, "experiment", name, *flags,
+                         "--out-dir", str(tmp_path))
+        assert code == EXIT_OK
+        assert seen == [(scenario, TrackerConfig(**tracker), ReidConfig(**reid),
+                         reid_enabled)
+                        for scenario, tracker, reid, reid_enabled in runs]
+
+    def test_range_accuracy_output_follows_flags(self, tmp_path, capsys):
+        outputs = []
+        for flags in ([], ["--r-body", "0.5", "--delta-iou", "0.1"]):
+            out_dir = tmp_path / str(len(outputs))
+            code, stdout, _ = run(capsys, "experiment", "range-accuracy",
+                                  *flags, "--out-dir", str(out_dir))
+            assert code == EXIT_OK
+            outputs.append((stdout, (out_dir / "range_accuracy" /
+                                     "metrics.txt").read_bytes()))
+        assert outputs[0][0] != outputs[1][0]
+        assert outputs[0][1] != outputs[1][1]
+
+    @pytest.mark.parametrize("name", ["st-sweep", "slt-vs-st"])
+    @pytest.mark.parametrize("flag", ["--mode=SLT", "--capacity=32"])
+    def test_swept_flag_refused(self, tmp_path, capsys, name, flag):
+        code, _, stderr = run(capsys, "experiment", name, flag,
+                              "--out-dir", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert stderr.startswith(f"error[config]: experiment {name} sets "
+                                 "--mode and --capacity")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -363,6 +427,15 @@ class TestValidateConfig:
         ("500.0", "extrinsics: 5\n", "extrinsics"),
         ("500.0", "extrinsics: {t_robot_cam: [a, 0, 0]}\n", "extrinsics"),
         ("500.0", "extrinsics: {r_robot_cam: {rpy: [0, 1]}}\n", "extrinsics"),
+        ("500.0", "extrinsics: {t_robot_cam: [.nan, 0, 0]}\n",
+         "extrinsics: field 'extrinsics.t_robot_cam'"),
+        ("500.0", "extrinsics: {t_world_robot: [0, .inf, 0]}\n",
+         "extrinsics: field 'extrinsics.t_world_robot'"),
+        ("500.0", "extrinsics: {t_robot_cam: [.nan, 0, 0],\n"
+         "             t_world_robot: [0, .inf, 0]}\n",
+         "extrinsics: field 'extrinsics.t_world_robot'"),
+        ("500.0", "extrinsics: {t_robot_cam: [0, 0]}\n",
+         "extrinsics: field 'extrinsics.t_robot_cam'"),
         (None, "intrinsics:\n", "field 'intrinsics'")])
     def test_bad_calibration_value_schema_error(self, tmp_path, capsys,
                                                 command, f_x, extra, where):
@@ -378,4 +451,29 @@ class TestValidateConfig:
         code, _, stderr = run(capsys, *argv)
         assert code == EXIT_SCHEMA
         assert stderr.startswith(f"error[schema]: {calib}: {where}")
+        assert not (tmp_path / "t.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["track", "calibration", "scenario"])
+    @pytest.mark.parametrize("sizes, field", [
+        ("image_width: 1280.9, image_height: 720", "image_width"),
+        ("image_width: 1280, image_height: 720.0", "image_height"),
+        ("image_width: '1280', image_height: 720", "image_width"),
+        ("image_width: 1280, image_height: true", "image_height")])
+    def test_image_size_must_be_integer(self, tmp_path, capsys, command,
+                                        sizes, field):
+        path = tmp_path / "config.yaml"
+        intrinsics = ("intrinsics: {f_x: 500.0, f_y: 500.0, c_x: 640.0, "
+                      f"c_y: 360.0, {sizes}}}\n")
+        path.write_text(intrinsics if command != "scenario" else (
+            "name: x\nduration: 5.0\npedestrians:\n"
+            "  - {id: 0, waypoints: [[0.0, 3.0, 0.0]]}\n" + intrinsics))
+        seq = tmp_path / "seq.jsonl"
+        seq.write_text(ONE_FRAME_SEQUENCE)
+        argv = (["track", str(seq), "--no-reid", "--calibration", str(path),
+                 "-o", str(tmp_path / "t.jsonl")] if command == "track"
+                else ["validate-config", command, str(path)])
+        code, _, stderr = run(capsys, *argv)
+        assert code == EXIT_SCHEMA
+        assert stderr == (f"error[schema]: {path}: field 'intrinsics.{field}': "
+                          "expected an integer\n")
         assert not (tmp_path / "t.jsonl").exists()

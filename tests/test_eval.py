@@ -24,24 +24,15 @@ class TestReidPrecision:
         frames.append((7, (200.0, 100.0), (100.0, 100.0)))
         frames.append((8, (100.0, 300.0), (100.0, 100.0)))
         frames.append((9, None, (100.0, 100.0)))
-        assert reid_precision(frames, [50.0])[50.0] == pytest.approx(0.7)
+        assert reid_precision(frames) == pytest.approx(0.7)
 
     def test_frames_without_gt_excluded(self):
         frames = [(0, (0.0, 0.0), (0.0, 0.0)), (1, (500.0, 0.0), None)]
-        assert reid_precision(frames, [50.0])[50.0] == pytest.approx(1.0)
-
-    def test_monotone_in_threshold(self):
-        rng = np.random.default_rng(0)
-        frames = [(i, tuple(rng.uniform(0, 200, 2)), (100.0, 100.0))
-                  for i in range(200)]
-        p = reid_precision(frames, [10.0, 25.0, 50.0, 100.0, 1000.0])
-        vals = [p[t] for t in sorted(p)]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
-        assert vals[-1] == 1.0
+        assert reid_precision(frames) == pytest.approx(1.0)
 
     def test_boundary_inclusive(self):
         frames = [(0, (150.0, 100.0), (100.0, 100.0))]
-        assert reid_precision(frames, [50.0])[50.0] == 1.0
+        assert reid_precision(frames) == 1.0
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
@@ -49,12 +40,11 @@ class TestReidPrecision:
                   for i in range(50)]
         shuffled = list(frames)
         rng.shuffle(shuffled)
-        assert reid_precision(frames, [50.0]) == \
-            reid_precision(shuffled, [50.0])
+        assert reid_precision(frames) == reid_precision(shuffled)
 
     def test_no_gt_raises(self):
         with pytest.raises(EvaluationError):
-            reid_precision([(0, (1.0, 1.0), None)], [50.0])
+            reid_precision([(0, (1.0, 1.0), None)])
 
 
 class TestRangeErrorStats:

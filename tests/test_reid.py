@@ -119,8 +119,7 @@ class TestSampleSet:
         assert [s.frame_index for s in ss.samples()] == [2, 3, 4, 5]
 
     def test_slt_budget_split(self):
-        ss = SampleSet(64, "SLT", long_term_fraction=0.5,
-                       rng=np.random.default_rng(0))
+        ss = SampleSet(64, "SLT", rng=np.random.default_rng(0))
         for i in range(500):
             ss.add(make_sample([1, i + 1], i % 2, frame=i))
             assert len(ss.short_term) <= 32
@@ -139,8 +138,7 @@ class TestSampleSet:
         n_stream, slots, trials = 1000, 32, 200
         counts = np.zeros(n_stream)
         for trial in range(trials):
-            ss = SampleSet(64, "SLT", long_term_fraction=0.5,
-                           rng=np.random.default_rng(trial))
+            ss = SampleSet(64, "SLT", rng=np.random.default_rng(trial))
             for i in range(n_stream):
                 ss.add(make_sample([1, i + 1], 1, frame=i))
             for s in ss.long_term:

@@ -213,6 +213,22 @@ class TestCalibration:
         with pytest.raises(SchemaError, match="r_robot_cam"):
             load_calibration(str(p))
 
+    @pytest.mark.parametrize("field", ["r_world_robot", "r_robot_cam"])
+    @pytest.mark.parametrize("matrix, why", [
+        ([2, 0, 0, 0, 2, 0, 0, 0, 2], "is not orthonormal"),
+        ([1, 0, 0, 0, 1, 0, 0, 0, -1], "must have determinant"),
+    ], ids=["scaled", "reflection"])
+    def test_non_rotation_refused(self, tmp_path, field, matrix, why):
+        # Rotations enter from outside only here, so here they are checked.
+        p = tmp_path / "calib.yaml"
+        p.write_text(
+            "intrinsics:\n"
+            "  f_x: 500.0\n  f_y: 500.0\n  c_x: 320.0\n  c_y: 240.0\n"
+            "  image_width: 640\n  image_height: 480\n"
+            f"extrinsics:\n  {field}: {matrix}\n")
+        with pytest.raises(SchemaError, match=f"extrinsics.{field} {why}"):
+            load_calibration(str(p))
+
 
 class TestScenarioFiles:
     def test_dict_round_trip(self):

@@ -109,34 +109,33 @@ class TestFilterOverlaps:
 
 class TestPredict:
     def test_constant_velocity(self):
-        t = predict(make_track(1, [0, 0, 1, 0]), 0.5, TrackerConfig())
+        t = predict(make_track(1, [0, 0, 1, 0]), 0.5)
         np.testing.assert_allclose(t.s[:2], [0.5, 0.0])
         np.testing.assert_allclose(t.s[2:], [1.0, 0.0])
 
     def test_zero_velocity_covariance_grows(self):
         t0 = make_track(1, [1, 2, 0, 0])
-        t1 = predict(t0, 0.1, TrackerConfig())
+        t1 = predict(t0, 0.1)
         np.testing.assert_allclose(t1.s[:2], [1, 2])
         assert np.trace(t1.P) > np.trace(t0.P)
 
     def test_repeated_equals_single_for_mean(self):
-        cfg = TrackerConfig()
         t = make_track(1, [0.3, -0.2, 0.8, 0.4])
         stepped = t
         for _ in range(7):
-            stepped = predict(stepped, 0.1, cfg)
-        once = predict(t, 0.7, cfg)
+            stepped = predict(stepped, 0.1)
+        once = predict(t, 0.7)
         np.testing.assert_allclose(stepped.s, once.s, atol=1e-12)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            predict(make_track(1, [0, 0, 0, 0]), 0.0, TrackerConfig())
+            predict(make_track(1, [0, 0, 0, 0]), 0.0)
 
     def test_covariance_symmetric(self):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(4, 4))
         t = make_track(1, [0, 0, 0, 0], P=A @ A.T)
-        t = predict(t, 0.1, TrackerConfig())
+        t = predict(t, 0.1)
         np.testing.assert_allclose(t.P, t.P.T, atol=1e-9)
 
 
@@ -223,7 +222,7 @@ class TestUpdate:
         truth = np.array([1.0, 2.0])
         errs = []
         for k in range(500):
-            t = predict(t, 1 / 30, cfg)
+            t = predict(t, 1 / 30)
             t = update(t, truth + rng.normal(0, 0.05, 2), self.H,
                        cfg.measurement_noise_std)
             if k >= 100:
@@ -234,7 +233,7 @@ class TestUpdate:
         rng = np.random.default_rng(5)
         t = make_track(1, [0, 0, 0, 0])
         for _ in range(20):
-            t = predict(t, 0.05, TrackerConfig())
+            t = predict(t, 0.05)
             t = update(t, rng.normal(size=2), self.H, 0.1)
             np.testing.assert_allclose(t.P, t.P.T, atol=1e-9)
             assert np.all(np.linalg.eigvalsh(t.P) > -1e-9)
@@ -304,10 +303,8 @@ class TestStep:
             tracks, assoc = tr.step(DetectionSet(
                 [d.box for d in f.detections], f.frame_index, f.timestamp))
             if f.frame_index == 20:   # before crossing
-                for d in f.detections:
-                    for t in tracks:
-                        if t.last_box == d.box:
-                            id_by_person[d.person_id] = t.id
+                for tid, k in assoc.items():
+                    id_by_person[f.detections[k].person_id] = tid
         # after the crossing each person is tracked by their original track
         final = frames[-1]
         for d in final.detections:
@@ -351,9 +348,8 @@ class TestStep:
             tracks, assoc = tr.step(dets)
             ref_tracks, ref_assoc = clean.step(dets)
             assert assoc == ref_assoc
-            assert [(t.id, t.hits, t.missed, t.age, t.last_box)
-                    for t in tracks] == [(t.id, t.hits, t.missed, t.age,
-                                          t.last_box) for t in ref_tracks]
+            assert [(t.id, t.hits, t.missed) for t in tracks] == \
+                [(t.id, t.hits, t.missed) for t in ref_tracks]
             for t, r in zip(tracks, ref_tracks):
                 assert np.array_equal(t.s, r.s)
                 assert np.array_equal(t.P, r.P)
@@ -370,10 +366,10 @@ class TestStep:
 # Reference: the tracker as one Kalman filter per track, each predicted,
 # associated and updated on its own with plain 2-D algebra.
 
-def reference_predict(track, dt, cfg):
+def reference_predict(track, dt):
     F = np.eye(4)
     F[0, 2] = F[1, 3] = dt
-    sp, sv = cfg.process_noise_std
+    sp, sv = tracker.PROCESS_NOISE_STD
     P = F @ track.P @ F.T + np.diag([sp**2, sp**2, sv**2, sv**2]) * dt
     return replace(track, s=F @ track.s, P=0.5 * (P + P.T))
 
@@ -423,27 +419,25 @@ class ReferenceTracker(Tracker):
                 boxes.append(box)
             except InvalidDetectionError:
                 continue
-        self.tracks = [reference_predict(t, dt, cfg) for t in self.tracks]
-        for t in self.tracks:
-            t.age += 1
+        self.tracks = [reference_predict(t, dt) for t in self.tracks]
         pairs, unmatched_t, unmatched_m = reference_associate(
             self.tracks, measurements, self.H, cfg.gate_distance)
         associations = {}
         for i, j in pairs:
             t = reference_update(self.tracks[i], measurements[j], self.H,
                                  cfg.measurement_noise_std)
-            t.missed, t.hits, t.last_box = 0, t.hits + 1, boxes[j]
+            t.missed, t.hits = 0, t.hits + 1
             self.tracks[i] = t
-            if t.valid and t.confirmed(cfg.min_hits):
+            if t.valid and t.confirmed():
                 associations[t.id] = boxes[j]
         for i in unmatched_t:
             self.tracks[i].missed += 1
-            if not self.tracks[i].confirmed(cfg.min_hits):
+            if not self.tracks[i].confirmed():
                 self.tracks[i].valid = False
         for j in unmatched_m:
-            self.tracks.append(self._new_track(measurements[j], boxes[j]))
+            self.tracks.append(self._new_track(measurements[j]))
         self.tracks = [t for t in self.tracks
-                       if t.valid and t.missed <= cfg.max_missed]
+                       if t.valid and t.missed <= tracker.MAX_MISSED]
         return self.tracks, associations
 
 
@@ -488,8 +482,7 @@ class TestBatchedEquivalence:
             for t, r in zip(tracks, ref_tracks):
                 assert np.array_equal(t.s, r.s)
                 assert np.array_equal(t.P, r.P)
-                assert (t.hits, t.missed, t.age, t.last_box) == \
-                    (r.hits, r.missed, r.age, r.last_box)
+                assert (t.hits, t.missed) == (r.hits, r.missed)
             assert {tid: dets.boxes[k] for tid, k in assoc.items()} == ref_assoc
 
             ids = {t.id for t in tracks}
@@ -497,7 +490,7 @@ class TestBatchedEquivalence:
                 born |= ids - seen
             seen |= ids
             coasted_out |= {tid for tid, missed in last_missed.items()
-                            if tid not in ids and missed == cfg.max_missed}
+                            if tid not in ids and missed == tracker.MAX_MISSED}
             last_missed = {t.id: t.missed for t in tracks}
             dropped += len(dets.boxes) - len(
                 filter_overlaps(dets, cfg.delta_iou).boxes)
@@ -549,7 +542,6 @@ class TestBatchedEquivalence:
         assert 500 < len(searched) < trials - 500
 
     def test_one_track_calls_match_plain_algebra(self):
-        cfg = TrackerConfig()
         rng = np.random.default_rng(3)
         for _ in range(200):
             A = rng.normal(size=(4, 4))
@@ -560,7 +552,7 @@ class TestBatchedEquivalence:
                         [math.cos(theta), math.sin(theta)]]
             dt = rng.uniform(0.01, 0.5)
             y = rng.normal(scale=3, size=2)
-            for got, want in ((predict(t, dt, cfg), reference_predict(t, dt, cfg)),
+            for got, want in ((predict(t, dt), reference_predict(t, dt)),
                               (update(t, y, H, 0.1), reference_update(t, y, H, 0.1))):
                 assert np.array_equal(got.s, want.s)
                 assert np.array_equal(got.P, want.P)
