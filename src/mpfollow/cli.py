@@ -19,6 +19,9 @@ EXIT_SCHEMA = 2
 EXIT_USAGE = 3
 EXIT_RUNTIME = 4
 
+# Named experiments; `experiment` also runs any built-in scenario by name.
+EXPERIMENTS = ("st-sweep", "slt-vs-st", "range-accuracy")
+
 
 class CliError(Exception):
     def __init__(self, category, message, code):
@@ -133,10 +136,13 @@ def cmd_experiment(args):
     seed = args.seed
     scenarios = sim.builtin_scenarios()
     name = args.name
+    if name not in EXPERIMENTS and name not in scenarios:
+        raise CliError("usage", f"unknown experiment '{name}'", EXIT_USAGE)
     if name in ("st-sweep", "slt-vs-st") and (
             args.mode is not None or args.capacity is not None):
         raise CliError("config", f"experiment {name} sets --mode and "
                        "--capacity itself", EXIT_USAGE)
+    _print_config(args, tracker_cfg, reid_cfg)
     if name == "st-sweep":
         print("scenario=room_like mode=ST capacity sweep")
         for cap in (16, 32, 64, 128):
@@ -163,14 +169,11 @@ def cmd_experiment(args):
         for b in stats.bins:
             print(f"{b['lo']:g} {b['hi']:g} {b['count']} "
                   f"{b['mean_abs_error']:.4f}")
-    elif name in scenarios:
-        _print_config(args, tracker_cfg, reid_cfg)
+    else:
         r, _, _ = evaluation.run_experiment(
             scenarios[name], tracker_cfg, reid_cfg, seed=seed,
             out_dir=os.path.join(out_dir, name))
         print(f"{name} precision@50px {r.ap:.3f}")
-    else:
-        raise CliError("usage", f"unknown experiment '{name}'", EXIT_USAGE)
     return EXIT_OK
 
 

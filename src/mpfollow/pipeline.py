@@ -66,7 +66,7 @@ class FollowPipeline:
             self.tracker.set_extrinsics(geometry.robot_pose_extrinsics(x, y, theta))
 
         dets = DetectionSet([d.box for d in record.detections],
-                            record.frame_index, record.timestamp)
+                            record.timestamp)
         _, matched = self.tracker.step(dets)
         associations = {tid: record.detections[k].box
                         for tid, k in matched.items()}

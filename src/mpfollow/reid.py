@@ -18,6 +18,10 @@ from enum import Enum
 import numpy as np
 
 
+# Negative samples harvested per FOLLOWING frame.
+MAX_NEGATIVES = 3
+
+
 class ReidError(ValueError):
     pass
 
@@ -71,6 +75,13 @@ class SampleSet:
     samples, maintained by uniform reservoir sampling over every target
     sample ever seen, so historic appearance survives long stretches of
     unhelpful recent data.
+
+    The set also owns its design matrix: the first len(self) rows of X
+    hold the descriptors in use (a target sample kept by both policies
+    fills two rows), y their labels and G = X Xᵀ their Gram matrix. A new
+    sample takes the next free row, or the row of the sample it evicts,
+    and each insert recomputes the Gram rows and columns it wrote, so G
+    is never accumulated and carries no rounding drift.
     """
 
     def __init__(self, capacity, mode="ST", rng=None):
@@ -83,22 +94,62 @@ class SampleSet:
             self.short_capacity = capacity
         self.short_term = deque(maxlen=self.short_capacity)
         self.long_term = []
+        self._short_rows = deque()
+        self._long_rows = []
         self._seen_positives = 0
         self._rng = rng or np.random.default_rng(0)
+        self.X = None                 # (capacity, d), allocated by the first add
+        self.y = np.zeros(capacity)
+        self.G = np.zeros((capacity, capacity))
 
     def add(self, sample: AppearanceSample):
-        self.short_term.append(sample)
-        if self.mode == "SLT" and sample.label == 1:
-            self._reservoir_add(sample)
+        self.extend((sample,))
 
-    def _reservoir_add(self, sample):
-        self._seen_positives += 1
-        if len(self.long_term) < self.long_capacity:
-            self.long_term.append(sample)
+    def extend(self, samples):
+        """Insert samples in order, then refresh the Gram rows they wrote."""
+        descriptors = [np.asarray(s.descriptor, dtype=float) for s in samples]
+        if not descriptors:
+            return
+        d = descriptors[0].size if self.X is None else self.X.shape[1]
+        for v in descriptors:
+            if v.shape != (d,):
+                raise ReidError(f"descriptor of shape {v.shape}, expected "
+                                f"({d},) like the first sample")
+        if self.X is None:
+            self.X = np.zeros((len(self.y), d))
+        written = set()
+        for sample, v in zip(samples, descriptors):
+            for row in self._place(sample):
+                self.X[row] = v
+                self.y[row] = sample.label
+                written.add(row)
+        rows = sorted(written)
+        n = len(self)
+        g = self.X[:n] @ self.X[rows].T
+        self.G[:n, rows] = g
+        self.G[rows, :n] = g.T
+
+    def _place(self, sample):
+        """Rows the sample takes: its FIFO row, plus a reservoir row if kept."""
+        if len(self.short_term) == self.short_capacity:
+            row = self._short_rows.popleft()
         else:
-            k = self._rng.integers(0, self._seen_positives)
-            if k < self.long_capacity:
-                self.long_term[k] = sample
+            row = len(self)
+        self.short_term.append(sample)
+        self._short_rows.append(row)
+        rows = [row]
+        if self.mode == "SLT" and sample.label == 1:
+            self._seen_positives += 1
+            if len(self.long_term) < self.long_capacity:
+                rows.append(len(self))
+                self.long_term.append(sample)
+                self._long_rows.append(rows[-1])
+            else:
+                k = self._rng.integers(0, self._seen_positives)
+                if k < self.long_capacity:
+                    self.long_term[k] = sample
+                    rows.append(self._long_rows[k])
+        return rows
 
     def samples(self):
         return list(self.short_term) + list(self.long_term)
@@ -109,8 +160,7 @@ class SampleSet:
 
 def update_samples(sample_set: SampleSet, samples) -> SampleSet:
     """Insert labeled samples, honoring the FIFO/reservoir policy in place."""
-    for s in samples:
-        sample_set.add(s)
+    sample_set.extend(samples)
     return sample_set
 
 
@@ -128,22 +178,28 @@ class RidgeClassifier:
 
 
 def train(clf: RidgeClassifier, sample_set: SampleSet) -> bool:
-    """Fit (w, b) in the centred dual: w = X̃ᵀ(X̃X̃ᵀ + λI)⁻¹(y − ȳ), b = ȳ − x̄·w.
+    """Fit (w, b) in the bordered dual: w = Xᵀα, where
 
-    One n×n solve for n samples, bias unregularized (Saunders, Gammerman &
-    Vovk, ICML 1998). Returns False, classifier untouched, if a class is missing.
+        [G + λI  1] [α]   [y]
+        [1ᵀ      0] [b] = [0]
+
+    with G = XXᵀ kept current by the sample set. The last row is the
+    stationarity condition of the unregularized bias, so this is the
+    centred-dual ridge (Saunders, Gammerman & Vovk, ICML 1998) with one
+    (n+1)×(n+1) solve for n samples and no centring. Returns False,
+    classifier untouched, if a class is missing.
     """
-    samples = sample_set.samples()
-    labels = np.array([s.label for s in samples])
-    if len(samples) == 0 or labels.min() == labels.max():
+    n = len(sample_set)
+    y = sample_set.y[:n]
+    if n == 0 or y.min() == y.max():
         return False
-    X = np.stack([s.descriptor for s in samples])
-    x_mean, y_mean = X.mean(axis=0), labels.mean()
-    Xc = X - x_mean
-    alpha = np.linalg.solve(Xc @ Xc.T + clf.lam * np.eye(len(samples)),
-                            labels - y_mean)
-    clf.w = Xc.T @ alpha
-    clf.b = float(y_mean - x_mean @ clf.w)
+    A = np.ones((n + 1, n + 1))
+    A[:n, :n] = sample_set.G[:n, :n]
+    A[:n, :n].flat[::n + 1] += clf.lam
+    A[n, n] = 0.0
+    solution = np.linalg.solve(A, np.append(y, 0.0))
+    clf.w = solution[:n] @ sample_set.X[:n]
+    clf.b = float(solution[n])
     return True
 
 
@@ -208,23 +264,19 @@ def step_state_machine(state: FollowerState, track_scores: dict,
 
 
 def label_frame_samples(target_track_id, track_descriptors, frame_index,
-                        max_negatives=3, negative_order=None):
+                        negative_order):
     """Build labeled samples for one FOLLOWING frame.
 
-    The target track yields a positive; up to max_negatives other tracks
-    yield negatives, taken in negative_order (e.g. nearest in the image)
-    when given, otherwise by ascending track id.
+    The target track yields a positive; up to MAX_NEGATIVES other tracks
+    yield negatives, taken in negative_order (e.g. nearest in the image).
     """
     if target_track_id not in track_descriptors:
         return []
     samples = [AppearanceSample(track_descriptors[target_track_id], 1,
                                 frame_index, target_track_id)]
-    others = [t for t in track_descriptors if t != target_track_id]
-    if negative_order is not None:
-        ordered = [t for t in negative_order if t in others]
-    else:
-        ordered = sorted(others)
-    for tid in ordered[:max_negatives]:
+    ordered = [t for t in negative_order
+               if t != target_track_id and t in track_descriptors]
+    for tid in ordered[:MAX_NEGATIVES]:
         samples.append(AppearanceSample(track_descriptors[tid], 0,
                                         frame_index, tid))
     return samples

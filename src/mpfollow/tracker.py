@@ -73,7 +73,6 @@ class TrackState:
 @dataclass
 class DetectionSet:
     boxes: list
-    frame_index: int = 0
     timestamp: float = 0.0
     indices: list | None = None   # by filter_overlaps: each box's index in the frame
 

@@ -334,6 +334,23 @@ class TestConfigFlags:
                          reid_enabled)
                         for scenario, tracker, reid, reid_enabled in runs]
 
+    @pytest.mark.parametrize("name", ["st-sweep", "slt-vs-st",
+                                      "range-accuracy", "room_like"])
+    def test_print_config_for_every_experiment(self, tmp_path, capsys,
+                                               monkeypatch, name):
+        # The flag-built configs come first, once, before any run's output.
+        monkeypatch.setattr(
+            evaluation, "run_experiment", lambda *args, **kwargs: (
+                SimpleNamespace(ap=0.5), SimpleNamespace(bins=[]), []))
+        code, stdout, _ = run(capsys, "experiment", name, "--lam", "5",
+                              "--r-body", "0.3", "--seed", "2",
+                              "--print-config", "--out-dir", str(tmp_path))
+        assert code == EXIT_OK
+        cfg, end = json.JSONDecoder().raw_decode(stdout)
+        assert cfg == {"tracker": vars(TrackerConfig(r_body=0.3)),
+                       "reid": vars(ReidConfig(lam=5.0)), "seed": 2}
+        assert "{" not in stdout[end:]
+
     def test_range_accuracy_output_follows_flags(self, tmp_path, capsys):
         outputs = []
         for flags in ([], ["--r-body", "0.5", "--delta-iou", "0.1"]):

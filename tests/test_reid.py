@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpfollow import reid, sim
+from mpfollow.pipeline import FollowPipeline
 from mpfollow.reid import (
+    MAX_NEGATIVES,
     AppearanceSample,
     FollowerMode,
     FollowerState,
@@ -55,6 +58,35 @@ def stacked_lstsq_ridge(X, labels, lam):
     theta = np.linalg.lstsq(A, np.concatenate([labels, np.zeros(d)]),
                             rcond=None)[0]
     return theta[:d], theta[d]
+
+
+def reference_train(clf, sample_set):
+    """The centred dual over the stacked samples, as train() computed it
+    before the sample set kept its Gram matrix: w = X̃ᵀ(X̃X̃ᵀ + λI)⁻¹(y − ȳ),
+    b = ȳ − x̄·w."""
+    samples = sample_set.samples()
+    labels = np.array([s.label for s in samples])
+    if len(samples) == 0 or labels.min() == labels.max():
+        return False
+    X = np.stack([s.descriptor for s in samples])
+    x_mean, y_mean = X.mean(axis=0), labels.mean()
+    Xc = X - x_mean
+    alpha = np.linalg.solve(Xc @ Xc.T + clf.lam * np.eye(len(samples)),
+                            labels - y_mean)
+    clf.w = Xc.T @ alpha
+    clf.b = float(y_mean - x_mean @ clf.w)
+    return True
+
+
+def assert_design_matrix_current(ss):
+    """G is X Xᵀ over the rows in use, and those rows (with their labels)
+    are the samples' descriptors as a multiset."""
+    n = len(ss)
+    X = ss.X[:n]
+    np.testing.assert_allclose(ss.G[:n, :n], X @ X.T, rtol=0, atol=1e-12)
+    rows = sorted((tuple(x), y) for x, y in zip(X.tolist(), ss.y[:n]))
+    assert rows == sorted((tuple(s.descriptor.tolist()), s.label)
+                          for s in ss.samples())
 
 
 def make_sample(v, label, frame=0, tid=0):
@@ -156,6 +188,64 @@ class TestSampleSet:
         p = slots / n_stream
         sigma_one = math.sqrt(trials * p * (1 - p))
         assert np.max(np.abs(counts - trials * p)) <= 6 * sigma_one
+
+
+    def test_descriptor_length_fixed_by_first(self):
+        ss = SampleSet(8)
+        with pytest.raises(ReidError):   # a refused batch fixes nothing
+            update_samples(ss, [make_sample([1, 0], 1),
+                                make_sample([1, 0, 0], 1)])
+        fill(ss, [make_sample([1, 0, 0], 1)])
+        with pytest.raises(ReidError):
+            ss.add(make_sample([1, 0], 0))
+        with pytest.raises(ReidError):
+            update_samples(ss, [make_sample([0, 1, 0], 0),
+                                make_sample([0, 1, 0, 0], 0)])
+        assert len(ss) == 1
+        assert_design_matrix_current(ss)
+
+    @given(mode=st.sampled_from(["ST", "SLT"]), capacity=st.integers(1, 64),
+           label_mix=st.sampled_from(["frames", "random"]),
+           positive_share=st.floats(0.0, 1.0),
+           similarity=st.floats(0.0, 0.99), dim=st.integers(5, 48),
+           lam=st.sampled_from([1e-3, 1e-2, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_gram_matrix_and_fit_follow_every_insert(
+            self, mode, capacity, label_mix, positive_share, similarity, dim,
+            lam, seed):
+        # "frames" inserts what the pipeline harvests per frame, a target
+        # sample and 0-3 negatives; "random" inserts one sample at a time
+        # with labels drawn at positive_share, so one class may be missing.
+        # Three capacities' worth of samples force FIFO evictions and, in
+        # SLT, reservoir replacements.
+        ext = SyntheticExtractor(dim=dim, n_clusters=2, similarity=similarity,
+                                 seed=seed)
+        rng = np.random.default_rng(seed)
+        ss = SampleSet(capacity, mode, rng=np.random.default_rng(seed))
+        clf = RidgeClassifier(lam=lam)
+        inserted = frame = 0
+        while inserted < 3 * capacity + 2:
+            if label_mix == "frames":
+                labels = [1] + [0] * int(rng.integers(0, MAX_NEGATIVES + 1))
+            else:
+                labels = [int(rng.random() < positive_share)]
+            batch = [AppearanceSample(ext.extract(1 - label, phase=0.1 * frame),
+                                      label, frame, tid)
+                     for tid, label in enumerate(labels)]
+            update_samples(ss, batch)
+            inserted += len(batch)
+            frame += 1
+            assert_design_matrix_current(ss)
+            samples = ss.samples()
+            labels = np.array([s.label for s in samples], dtype=float)
+            if not train(clf, ss):
+                assert labels.min() == labels.max()
+                continue
+            X = np.stack([s.descriptor for s in samples])
+            w_ref, b_ref = stacked_lstsq_ridge(X, labels, lam)
+            np.testing.assert_allclose(clf.w, w_ref, rtol=0, atol=1e-9)
+            assert clf.b == pytest.approx(b_ref, rel=0, abs=1e-9)
 
 
 class TestTrain:
@@ -266,6 +356,37 @@ class TestTrain:
         assert clf.w is w and clf.b == b and clf.trained
 
 
+SCENARIOS = sim.builtin_scenarios()
+
+
+@pytest.mark.parametrize("mode", ["ST", "SLT"])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_pipeline_decisions_match_reference_fit(monkeypatch, name, mode):
+    # The pipeline with train() and with the centred dual over stacked
+    # samples reports the same frames; only scores may differ, by rounding.
+    scenario = SCENARIOS[name]
+    frames = sim.generate(scenario, 0)
+
+    def run():
+        pipe = FollowPipeline(scenario.intrinsics,
+                              reid_cfg=ReidConfig(mode=mode),
+                              target_person_id=scenario.target_id, seed=0)
+        return [pipe.process_frame(record) for record in frames]
+
+    fitted = run()
+    monkeypatch.setattr(reid, "train", reference_train)
+    reference = run()
+    assert len(fitted) == len(reference)
+    for got, want in zip(fitted, reference):
+        assert (got.mode, got.target_track_id, got.target_box,
+                got.target_position, got.tracks) == (
+            want.mode, want.target_track_id, want.target_box,
+            want.target_position, want.tracks)
+        assert got.scores.keys() == want.scores.keys()
+        for tid, value in got.scores.items():
+            assert abs(value - want.scores[tid]) <= 1e-12
+
+
 class TestScore:
     def _trained(self):
         ext = SyntheticExtractor(dim=32, n_clusters=2, similarity=0.2, seed=1)
@@ -374,15 +495,15 @@ class TestStateMachine:
 class TestLabeling:
     def test_positive_and_capped_negatives(self):
         descs = {i: normalize_descriptor(np.eye(6)[i]) for i in range(6)}
-        samples = label_frame_samples(2, descs, 10, max_negatives=3)
-        assert [s.label for s in samples] == [1, 0, 0, 0]
+        samples = label_frame_samples(2, descs, 10, [0, 1, 3, 4, 5])
+        assert [s.label for s in samples] == [1] + [0] * MAX_NEGATIVES
         assert samples[0].track_id == 2
 
     def test_negative_order_respected(self):
+        # The order may name the target and tracks without a descriptor.
         descs = {i: normalize_descriptor(np.eye(4)[i]) for i in range(4)}
-        samples = label_frame_samples(0, descs, 0, max_negatives=2,
-                                      negative_order=[3, 1, 2])
-        assert [s.track_id for s in samples[1:]] == [3, 1]
+        samples = label_frame_samples(0, descs, 0, [3, 0, 9, 1, 2])
+        assert [s.track_id for s in samples[1:]] == [3, 1, 2]
 
     def test_target_missing_returns_empty(self):
-        assert label_frame_samples(9, {1: np.array([1.0])}, 0) == []
+        assert label_frame_samples(9, {1: np.array([1.0])}, 0, [1]) == []

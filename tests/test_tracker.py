@@ -211,7 +211,7 @@ class TestUpdate:
         tr = Tracker(wide_intr, robot_pose_extrinsics(0, 0, 0), TrackerConfig())
         for f in sim.generate(sc, 0):
             tracks, _ = tr.step(DetectionSet(
-                [d.box for d in f.detections], f.frame_index, f.timestamp))
+                [d.box for d in f.detections], f.timestamp))
         assert len(tracks) == 1
         np.testing.assert_allclose(tracks[0].s[:2], [2.5, 0.0], atol=1e-6)
 
@@ -249,17 +249,17 @@ class TestStep:
 
     def test_empty_detections_coast(self, wide_intr):
         tr = self.make_tracker(wide_intr)
-        tr.step(DetectionSet([BoundingBox(600, 100, 680, 500)], 0, 0.0))
+        tr.step(DetectionSet([BoundingBox(600, 100, 680, 500)], 0.0))
         missed_before = tr.tracks[0].missed
         s_before = tr.tracks[0].s.copy()
-        tr.step(DetectionSet([], 1, 1 / 30))
+        tr.step(DetectionSet([], 1 / 30))
         # tentative track missed before confirmation is dropped
         assert tr.tracks == []
 
         tr = self.make_tracker(wide_intr)
         for k in range(3):
-            tr.step(DetectionSet([BoundingBox(600, 100, 680, 500)], k, k / 30))
-        tr.step(DetectionSet([], 3, 3 / 30))
+            tr.step(DetectionSet([BoundingBox(600, 100, 680, 500)], k / 30))
+        tr.step(DetectionSet([], 3 / 30))
         assert len(tr.tracks) == 1
         assert tr.tracks[0].missed == 1
 
@@ -272,7 +272,7 @@ class TestStep:
         errs = []
         for f in simulate(sc):
             tracks, _ = tr.step(DetectionSet(
-                [d.box for d in f.detections], f.frame_index, f.timestamp))
+                [d.box for d in f.detections], f.timestamp))
             for t in tracks:
                 ids.add(t.id)
                 gt = f.pedestrian_positions[0]
@@ -301,7 +301,7 @@ class TestStep:
         id_by_person = {}
         for f in frames:
             tracks, assoc = tr.step(DetectionSet(
-                [d.box for d in f.detections], f.frame_index, f.timestamp))
+                [d.box for d in f.detections], f.timestamp))
             if f.frame_index == 20:   # before crossing
                 for tid, k in assoc.items():
                     id_by_person[f.detections[k].person_id] = tid
@@ -322,7 +322,7 @@ class TestStep:
             if k % 7 < 4:   # appear and disappear repeatedly
                 u = 300 + 40 * rng.integers(0, 5)
                 boxes.append(BoundingBox(u, 100, u + 60, 500))
-            tracks, _ = tr.step(DetectionSet(boxes, k, k / 10))
+            tracks, _ = tr.step(DetectionSet(boxes, k / 10))
             seen.extend(t.id for t in tracks)
         # ids are assigned in strictly increasing order, never recycled
         firsts = {}
@@ -338,8 +338,8 @@ class TestStep:
         # The refused frame changes nothing: the frames after it track as
         # on a tracker that never saw it.
         frames = [DetectionSet([BoundingBox(600 + 4 * k, 100, 680 + 4 * k, 500)],
-                               k, k / 10) for k in range(6)]
-        bad = DetectionSet([BoundingBox(300, 100, 360, 500)], 9, bad_timestamp)
+                               k / 10) for k in range(6)]
+        bad = DetectionSet([BoundingBox(300, 100, 360, 500)], bad_timestamp)
         tr, clean = self.make_tracker(wide_intr), self.make_tracker(wide_intr)
         for k, dets in enumerate(frames):
             if k == 3:
@@ -359,7 +359,7 @@ class TestStep:
         tr = self.make_tracker(wide_intr)
         good = BoundingBox(600, 100, 680, 500)
         for k in range(3):
-            tracks, _ = tr.step(DetectionSet([good], k, k / 30))
+            tracks, _ = tr.step(DetectionSet([good], k / 30))
         assert len(tr.tracks) == 1
 
 
@@ -473,8 +473,7 @@ class TestBatchedEquivalence:
             pose_extr = robot_pose_extrinsics(*f.robot_pose)
             batched.set_extrinsics(pose_extr)
             reference.set_extrinsics(pose_extr)
-            dets = DetectionSet([d.box for d in f.detections],
-                                f.frame_index, f.timestamp)
+            dets = DetectionSet([d.box for d in f.detections], f.timestamp)
             tracks, assoc = batched.step(dets)
             ref_tracks, ref_assoc = reference.step(dets)
 

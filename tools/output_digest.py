@@ -1,4 +1,4 @@
-"""One SHA-256 over mpfollow's observable outputs, to compare two source trees.
+"""SHA-256 digests of mpfollow's observable outputs, to compare two source trees.
 
 Usage: python3 tools/output_digest.py SRC_DIR
 
@@ -12,7 +12,11 @@ the digest covers:
   sequences by default, with ``--no-reid`` and with ``--mode SLT``;
 - the exit code, stdout and artifacts of ``mpfollow experiment``
   st-sweep, slt-vs-st and range-accuracy.
-Two trees print the same digest when all these outputs are the same.
+It prints two lines. The first digests all these outputs; two trees print
+the same first line when all of them are the same. The second, the
+decisions digest, leaves out the values of the per-frame scores (it keeps
+which tracks were scored), so two trees whose fits differ only by rounding
+print the same second line. No file or stdout the CLI writes holds a score.
 """
 
 from __future__ import annotations
@@ -41,6 +45,19 @@ def _import_from(src):
         sys.exit(f"mpfollow imported from {found}, not from {src}")
 
 
+class _Digests:
+    """The full digest and the decisions digest, fed the same bytes except
+    for the per-frame scores."""
+
+    def __init__(self):
+        self.full = hashlib.sha256()
+        self.decisions = hashlib.sha256()
+
+    def update(self, data):
+        self.full.update(data)
+        self.decisions.update(data)
+
+
 def _hash_tree(h, root):
     """Each file under root: its relative path, then its bytes."""
     for dirpath, dirnames, filenames in os.walk(root):
@@ -66,13 +83,15 @@ def digest(src):
     from mpfollow import evaluation, pipeline, sim
     from mpfollow.reid import ReidConfig
 
-    h = hashlib.sha256()
+    h = _Digests()
     original = pipeline.FollowPipeline.process_frame
 
     def recorded(self, record):
         r = original(self, record)
-        h.update(repr((r.mode, r.target_track_id, r.target_box,
-                       r.target_position, r.tracks, r.scores)).encode())
+        frame = (r.mode, r.target_track_id, r.target_box, r.target_position,
+                 r.tracks)
+        h.full.update(repr(frame + (r.scores,)).encode())
+        h.decisions.update(repr(frame + (sorted(r.scores),)).encode())
         return r
 
     pipeline.FollowPipeline.process_frame = recorded
@@ -103,10 +122,12 @@ def digest(src):
             code, stdout = _cli("experiment", name, "--out-dir", out_dir)
             h.update(f"experiment {name}|{code}|{stdout}".encode())
             _hash_tree(h, out_dir)
-    return h.hexdigest()
+    return h.full.hexdigest(), h.decisions.hexdigest()
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__)
-    print(digest(sys.argv[1]))
+    full, decisions = digest(sys.argv[1])
+    print(full)
+    print(decisions)
