@@ -5,7 +5,8 @@ Frame conventions used throughout:
   robot  : x forward, y left, z up
   camera : z forward (optical axis), x right, y down
 
-All transforms are of the form  p_dst = R @ p_src + t.
+All transforms are of the form  p_dst = R @ p_src + t; where the tracker
+reads them they are summed in floats, as a BLAS matmul may fuse terms.
 """
 
 from __future__ import annotations
@@ -88,23 +89,19 @@ class Extrinsics:
         return self.R_robot_cam @ p_robot + self.t_robot_cam
 
 
-def rotation_z(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def robot_pose_extrinsics(x, y, theta, R_robot_cam=None, t_robot_cam=None):
     """Extrinsics for a robot at world pose (x, y, heading theta).
 
     The world->robot transform inverts the robot pose; the camera mount
     defaults to a forward-looking camera at the robot origin. Only a
-    caller's R_robot_cam is validated: rotation_z of a finite heading and
-    FORWARD_CAMERA_ROTATION are rotations by construction.
+    caller's R_robot_cam is validated: the inverse heading rotation of a
+    finite theta and FORWARD_CAMERA_ROTATION are rotations by construction.
     """
     if not all(map(math.isfinite, (x, y, theta))):
         raise GeometryError(f"robot pose ({x}, {y}, {theta}) is not finite")
-    R_wr = rotation_z(theta).T
-    t_wr = -R_wr @ np.array([x, y, 0.0])
+    c, s = math.cos(theta), math.sin(theta)
+    R_wr = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])  # Rz^T
+    t_wr = np.array([-(c * x + s * y), s * x - c * y, 0.0])
     R_rc = (FORWARD_CAMERA_ROTATION if R_robot_cam is None
             else _check_rotation(R_robot_cam, "R_robot_cam"))
     t_rc = np.zeros(3) if t_robot_cam is None else (
@@ -169,15 +166,17 @@ def process_measurements(boxes, intr: CameraIntrinsics, extr: Extrinsics, r: flo
     constants are computed once; per box, plain float arithmetic rounds
     exactly as numpy float64 scalars do.
     """
-    rc_twr = (extr.R_robot_cam @ extr.t_world_robot).tolist()
+    tx, ty, tz = extr.t_world_robot.tolist()
+    rc_twr_x, rc_twr_z = (a * tx + b * ty + c * tz
+                          for a, b, c in extr.R_robot_cam.tolist()[::2])
     t_rc = extr.t_robot_cam.tolist()
     two_cx, fr = 2.0 * intr.c_x, intr.f_x * r
     rows, index = [], []
     for k, box in enumerate(boxes):
         width = box.u_br - box.u_tl
         y0 = (r * (box.u_tl + box.u_br - two_cx) / (2.0 * width)
-              - t_rc[0] - rc_twr[0])
-        y1 = fr / width - t_rc[2] - rc_twr[2]
+              - t_rc[0] - rc_twr_x)
+        y1 = fr / width - t_rc[2] - rc_twr_z
         if math.isfinite(y0) and math.isfinite(y1):
             rows.append((y0, y1))
             index.append(k)
@@ -199,10 +198,11 @@ def build_observation_model(extr: Extrinsics) -> np.ndarray:
     Rows are the camera-x and camera-z rows of R_robot_cam @ R_world_robot,
     restricted to the planar position columns; velocity columns are zero.
     """
-    M = extr.R_robot_cam @ extr.R_world_robot
+    wr = extr.R_world_robot.tolist()
     H = np.zeros((2, 4))
-    H[0, 0:2] = M[0, 0:2]
-    H[1, 0:2] = M[2, 0:2]
+    for k, row in enumerate(extr.R_robot_cam.tolist()[::2]):
+        for j in range(2):
+            H[k, j] = row[0] * wr[0][j] + row[1] * wr[1][j] + row[2] * wr[2][j]
     return H
 
 

@@ -137,7 +137,7 @@ class FollowPipeline:
         rows = []
         for t in self.tracker.confirmed_tracks():
             box = associations.get(t.id)
-            rows.append((t.id, float(t.s[0]), float(t.s[1]), box))
+            rows.append((t.id, t.mean[0], t.mean[1], box))
         # A target is always a track matched this frame, so it has a row.
         target_box = target_pos = None
         for tid, x, y, box in rows:

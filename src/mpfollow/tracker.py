@@ -5,14 +5,16 @@ to 2-vector measurements, predict all tracks with a constant-velocity
 model, solve a global nearest neighbor assignment on the measurement-space
 distance, then run Kalman updates and track lifecycle bookkeeping.
 
-The Kalman algebra (predict, then a Joseph-form update; Bar-Shalom, Li &
-Kirubarajan, 2001) is written once, over stacks of rows: the tracker runs
-it on all its tracks at once and the per-track ``predict`` and ``update``
-run it on one row.
+Each track is one Kalman filter (predict, then a Joseph-form update;
+Bar-Shalom, Li & Kirubarajan, 2001) in Python floats, for H = [M 0] as
+``build_observation_model`` gives and R = sigma^2 I, with the 2x2
+innovation covariance inverted in closed form. Python rounds each product
+and sum on its own, so the outputs do not depend on numpy's BLAS kernel.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -21,6 +23,7 @@ import numpy as np
 from .geometry import (
     CameraIntrinsics,
     Extrinsics,
+    GeometryError,
     build_observation_model,
     iou,
     process_measurement,  # not called here: framebench's tracer hooks this name
@@ -33,6 +36,7 @@ MAX_MISSED = 30                    # unmatched frames before track deletion
 MIN_HITS = 2                       # matches before a track is confirmed
 INIT_POSITION_STD = 0.5            # meters
 INIT_VELOCITY_STD = 1.0            # m/s
+_INIT_COV = np.diag([INIT_POSITION_STD**2] * 2 + [INIT_VELOCITY_STD**2] * 2)
 
 
 @dataclass
@@ -51,12 +55,17 @@ class TrackerConfig:
             raise ValueError("r_body must be positive and finite")
 
 
-@dataclass
+_UPPER = np.triu_indices(4)  # the 10 distinct covariance entries, row by row
+
+
+@dataclass(init=False)
 class TrackState:
     """Kalman state of one person: planar position and velocity, world frame.
 
-    Inside a Tracker, s and P are views of the tracker's stacked bank and
-    change in place at every step: copy what you keep.
+    The filter keeps floats: ``mean`` [x, y, xdot, ydot] and ``cov``, the
+    10 entries of the covariance's upper triangle row by row, so P is
+    symmetric by construction (a P given is kept as its symmetric part).
+    ``s`` and ``P`` are numpy snapshots of them, built on each read.
     """
 
     id: int
@@ -65,6 +74,20 @@ class TrackState:
     missed: int = 0
     hits: int = 0
     valid: bool = True
+
+    def __init__(self, id, s, P, missed=0, hits=0, valid=True):
+        self.id, self.missed, self.hits, self.valid = id, missed, hits, valid
+        self.mean = np.asarray(s, dtype=float).reshape(4).tolist()
+        P = np.asarray(P, dtype=float).reshape(4, 4)
+        self.cov = (0.5 * (P + P.T))[_UPPER].tolist()
+
+    s = property(lambda self: np.array(self.mean))
+
+    @property
+    def P(self):
+        P = np.zeros((4, 4))
+        P[_UPPER] = self.cov
+        return P + np.triu(P, 1).T
 
     def confirmed(self):
         return self.hits >= MIN_HITS
@@ -102,56 +125,86 @@ def filter_overlaps(dets: DetectionSet, delta_iou: float) -> DetectionSet:
     return replace(dets, boxes=[boxes[i] for i in keep], indices=keep)
 
 
-def _transition(dt):
-    F = np.eye(4)
-    F[0, 2] = dt
-    F[1, 3] = dt
-    return F
+_QP, _QV = (std * std for std in PROCESS_NOISE_STD)  # process noise per second
 
 
-_SP, _SV = PROCESS_NOISE_STD
-_PROCESS_NOISE_RATE = np.diag([_SP**2, _SP**2, _SV**2, _SV**2])  # Q / dt
+def _predict(mean, cov, dt):
+    """F s and F P F^T + Q dt for F = [[I, dt I], [0, I]], block by block."""
+    x0, x1, x2, x3 = mean
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
+    # P = [[A, B], [B^T, C]]: B' = B + dt C and A' = A + dt B^T + dt B'.
+    b00, b01 = p02 + dt * p22, p03 + dt * p23
+    b10, b11 = p12 + dt * p23, p13 + dt * p33
+    return ([x0 + dt * x2, x1 + dt * x3, x2, x3],
+            [p00 + dt * p02 + dt * b00 + _QP * dt, p01 + dt * p12 + dt * b01,
+             b00, b01, p11 + dt * p13 + dt * b11 + _QP * dt, b10, b11,
+             p22 + _QV * dt, p23, p33 + _QV * dt])
 
 
-def _transpose(A):
-    return A.swapaxes(-1, -2)
+def _update(mean, cov, y, M, r):
+    """Joseph-form update by y for H = [M 0], M = [[a, b], [c, d]], R = r I:
+    the new (mean, cov), or None when the innovation is not finite."""
+    a, b, c, d = M
+    x0, x1, x2, x3 = mean
+    z0, z1 = y[0] - (a * x0 + b * x1), y[1] - (c * x0 + d * x1)
+    if not (math.isfinite(z0) and math.isfinite(z1)):
+        return None
+    p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
+    # G = P H^T; S = H G + R, inverted in closed form; K = G S^-1.
+    g00, g01 = p00 * a + p01 * b, p00 * c + p01 * d
+    g10, g11 = p01 * a + p11 * b, p01 * c + p11 * d
+    g20, g21 = p02 * a + p12 * b, p02 * c + p12 * d
+    g30, g31 = p03 * a + p13 * b, p03 * c + p13 * d
+    s00, s01 = a * g00 + b * g10 + r, a * g01 + b * g11
+    s11 = c * g01 + d * g11 + r
+    det = s00 * s11 - s01 * s01
+    k00, k01 = (g00 * s11 - g01 * s01) / det, (g01 * s00 - g00 * s01) / det
+    k10, k11 = (g10 * s11 - g11 * s01) / det, (g11 * s00 - g10 * s01) / det
+    k20, k21 = (g20 * s11 - g21 * s01) / det, (g21 * s00 - g20 * s01) / det
+    k30, k31 = (g30 * s11 - g31 * s01) / det, (g31 * s00 - g30 * s01) / det
+    # Joseph form (I - KH) P (I - KH)^T + r K K^T, PSD for any K, as
+    # W - V K^T + r K K^T with W = (I - KH) P = P - K G^T and V = W H^T.
+    w00, w01 = p00 - (k00 * g00 + k01 * g01), p01 - (k00 * g10 + k01 * g11)
+    w02, w03 = p02 - (k00 * g20 + k01 * g21), p03 - (k00 * g30 + k01 * g31)
+    w10, w11 = p01 - (k10 * g00 + k11 * g01), p11 - (k10 * g10 + k11 * g11)
+    w12, w13 = p12 - (k10 * g20 + k11 * g21), p13 - (k10 * g30 + k11 * g31)
+    w20, w21 = p02 - (k20 * g00 + k21 * g01), p12 - (k20 * g10 + k21 * g11)
+    w22, w23 = p22 - (k20 * g20 + k21 * g21), p23 - (k20 * g30 + k21 * g31)
+    w30, w31 = p03 - (k30 * g00 + k31 * g01), p13 - (k30 * g10 + k31 * g11)
+    w33 = p33 - (k30 * g30 + k31 * g31)
+    v00, v01 = w00 * a + w01 * b, w00 * c + w01 * d
+    v10, v11 = w10 * a + w11 * b, w10 * c + w11 * d
+    v20, v21 = w20 * a + w21 * b, w20 * c + w21 * d
+    v30, v31 = w30 * a + w31 * b, w30 * c + w31 * d
+    return ([x0 + k00 * z0 + k01 * z1, x1 + k10 * z0 + k11 * z1,
+             x2 + k20 * z0 + k21 * z1, x3 + k30 * z0 + k31 * z1],
+            [w00 - (v00 * k00 + v01 * k01) + r * (k00 * k00 + k01 * k01),
+             w01 - (v00 * k10 + v01 * k11) + r * (k00 * k10 + k01 * k11),
+             w02 - (v00 * k20 + v01 * k21) + r * (k00 * k20 + k01 * k21),
+             w03 - (v00 * k30 + v01 * k31) + r * (k00 * k30 + k01 * k31),
+             w11 - (v10 * k10 + v11 * k11) + r * (k10 * k10 + k11 * k11),
+             w12 - (v10 * k20 + v11 * k21) + r * (k10 * k20 + k11 * k21),
+             w13 - (v10 * k30 + v11 * k31) + r * (k10 * k30 + k11 * k31),
+             w22 - (v20 * k20 + v21 * k21) + r * (k20 * k20 + k21 * k21),
+             w23 - (v20 * k30 + v21 * k31) + r * (k20 * k30 + k21 * k31),
+             w33 - (v30 * k30 + v31 * k31) + r * (k30 * k30 + k31 * k31)])
 
 
-# The stacked kernels keep the per-track operation order: F @ s as a
-# matrix-vector product per row, (F @ S[..., None])[..., 0], and never
-# S @ F.T, whose sums round differently.
-
-def _predict_rows(S, P, dt):
-    """Constant-velocity prediction of stacked means (n, 4) and covariances (n, 4, 4)."""
-    F = _transition(dt)
-    S = (F @ S[..., None])[..., 0]
-    P = F @ P @ F.T + _PROCESS_NOISE_RATE * dt
-    return S, 0.5 * (P + _transpose(P))
-
-
-def _update_rows(S, P, Y, H, measurement_noise_std):
-    """Kalman update of stacked rows by measurements Y (n, 2).
-
-    Returns (S, P, valid); a row whose innovation is not finite is not
-    valid and its returned state is meaningless.
-    """
-    R = np.eye(2) * measurement_noise_std**2
-    innovation = Y - (H @ S[..., None])[..., 0]
-    valid = np.isfinite(innovation).all(axis=1)
-    K = P @ H.T @ np.linalg.inv(H @ P @ H.T + R)
-    S = S + (K @ innovation[..., None])[..., 0]
-    I_KH = np.eye(4) - K @ H
-    # Joseph form keeps the covariance symmetric positive semi-definite.
-    P = I_KH @ P @ _transpose(I_KH) + K @ R @ _transpose(K)
-    return S, 0.5 * (P + _transpose(P)), valid
+def _position_block(H):
+    """The block M of H = [M 0] as floats (a, b, c, d)."""
+    (a, b, *v0), (c, d, *v1) = np.asarray(H, dtype=float).tolist()
+    if any(v0) or any(v1):
+        raise ValueError("H must have zero velocity columns")
+    return a, b, c, d
 
 
 def predict(track: TrackState, dt: float) -> TrackState:
     """Constant-velocity prediction of one track over dt seconds."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    S, P = _predict_rows(track.s[None], track.P[None], dt)
-    return replace(track, s=S[0], P=P[0])
+    new = copy.copy(track)
+    new.mean, new.cov = _predict(track.mean, track.cov, dt)
+    return new
 
 
 def _min_cost_assignment(cost):
@@ -162,10 +215,10 @@ def _min_cost_assignment(cost):
     with the arithmetic, scan order and tie-breaking of
     ``scipy.optimize.linear_sum_assignment``, so both pick the same
     assignment. Importing scipy.optimize for this one call added 49 MB to
-    the process. Returns two lists of indices, rows ascending.
+    the process. Takes the cost's rows; returns index lists, rows ascending.
     """
-    transpose = cost.shape[1] < cost.shape[0]
-    C = (cost.T if transpose else cost).tolist()
+    transpose = len(cost[0]) < len(cost)
+    C = [list(row) for row in (zip(*cost) if transpose else cost)]
     nr = len(C)
     # A search scans from the last column down and on a tie prefers a free
     # one, so when each row's first minimum is in a column of its own, each
@@ -236,58 +289,52 @@ def associate(tracks, measurements, H, gate):
     """Global nearest neighbor assignment of measurements to tracks.
 
     Cost is the squared Euclidean distance between each track's expected
-    observation H @ s and each measurement; pairs whose cost exceeds the
-    squared gate are broken into unmatched.
+    observation H s and each measurement (a pair of numbers); pairs whose
+    cost exceeds the squared gate are broken into unmatched.
 
     Returns (pairs, unmatched_track_indices, unmatched_measurement_indices)
     with pairs as (track_index, measurement_index) tuples.
     """
     if not tracks or not len(measurements):
         return [], list(range(len(tracks))), list(range(len(measurements)))
-    expected = (H @ np.array([t.s for t in tracks])[..., None])[..., 0]
-    d = expected[:, None, :] - np.asarray(measurements)[None, :, :]
-    # Each cost is the dot product d @ d of its pair, bit for bit; a sum of
-    # squares rounds differently and can change which costs tie.
-    cost = (d[..., None, :] @ d[..., :, None])[..., 0, 0]
-    if not np.isfinite(cost).all():
-        raise ValueError("association cost is not finite")
+    a, b, c, d = _position_block(H)
+    cost = []
+    for t in tracks:
+        x0, x1 = t.mean[0], t.mean[1]
+        e0, e1 = a * x0 + b * x1, c * x0 + d * x1
+        row = []
+        for y0, y1 in measurements:
+            d0, d1 = e0 - y0, e1 - y1
+            row.append(d0 * d0 + d1 * d1)
+        if not all(map(math.isfinite, row)):
+            raise ValueError("association cost is not finite")
+        cost.append(row)
     rows, cols = _min_cost_assignment(cost)
-    gate_sq = gate * gate
-    pairs = [(i, j) for i, j in zip(rows, cols) if cost[i, j] <= gate_sq]
-    matched_t = {i for i, _ in pairs}
-    matched_m = {j for _, j in pairs}
-    unmatched_t = [i for i in range(len(tracks)) if i not in matched_t]
-    unmatched_m = [j for j in range(len(measurements)) if j not in matched_m]
+    pairs = [(i, j) for i, j in zip(rows, cols) if cost[i][j] <= gate * gate]
+    unmatched_t = sorted(set(range(len(tracks))) - {i for i, _ in pairs})
+    unmatched_m = sorted(set(range(len(measurements))) - {j for _, j in pairs})
     return pairs, unmatched_t, unmatched_m
 
 
 def update(track: TrackState, y, H, measurement_noise_std) -> TrackState:
-    """Kalman measurement update with observation matrix H."""
-    S, P, valid = _update_rows(track.s[None], track.P[None],
-                               np.asarray(y, dtype=float)[None], H,
-                               measurement_noise_std)
-    if not valid[0]:
+    """Kalman measurement update with observation matrix H = [M 0]."""
+    state = _update(track.mean, track.cov, [float(v) for v in y],
+                    _position_block(H), measurement_noise_std**2)
+    if state is None:
         return replace(track, valid=False)
-    return replace(track, s=S[0], P=P[0])
+    new = copy.copy(track)
+    new.mean, new.cov = state
+    return new
 
 
 class Tracker:
-    """Stateful multi-person tracker over a detection sequence.
-
-    The means and covariances of all tracks live in one bank, an (n, 4)
-    and an (n, 4, 4) array in the order of ``tracks``; each track's s and
-    P are views of its row. A frame predicts the whole bank at once and
-    updates all matched rows at once. The bank is restacked only when a
-    track is born or dies.
-    """
+    """Stateful multi-person tracker over a detection sequence."""
 
     def __init__(self, intr: CameraIntrinsics, extr: Extrinsics,
                  cfg: TrackerConfig | None = None):
         self.intr = intr
         self.cfg = cfg or TrackerConfig()
         self.tracks: list[TrackState] = []
-        self._S = np.empty((0, 4))
-        self._P = np.empty((0, 4, 4))
         self._next_id = 1
         self._last_timestamp = None
         self.set_extrinsics(extr)
@@ -296,38 +343,31 @@ class Tracker:
         """Install the current robot pose; H depends on it."""
         self.extr = extr
         self.H = build_observation_model(extr)
+        self._M = _position_block(self.H)
 
     def _new_track(self, y):
-        # Invert the position block of H to seed the world position.
-        A = self.H[:, :2]
-        try:
-            pos = np.linalg.solve(A, y)
-        except np.linalg.LinAlgError:
-            pos, *_ = np.linalg.lstsq(A, y, rcond=None)
-        s = np.array([pos[0], pos[1], 0.0, 0.0])
-        P = np.diag([INIT_POSITION_STD**2, INIT_POSITION_STD**2,
-                     INIT_VELOCITY_STD**2, INIT_VELOCITY_STD**2])
-        track = TrackState(id=self._next_id, s=s, P=P, hits=1)
+        # Seed the world position by inverting M. Its rows are parts of
+        # rotation rows, so |det| <= 1; below 1e-9 the seed is mostly rounding.
+        a, b, c, d = self._M
+        det = a * d - b * c
+        if not abs(det) > 1e-9:
+            raise GeometryError(
+                f"camera mount R_robot_cam {self.extr.R_robot_cam.tolist()}: "
+                f"its x and z axes do not span the ground plane")
+        y0, y1 = y
+        s = [(d * y0 - b * y1) / det, (a * y1 - c * y0) / det, 0.0, 0.0]
+        track = TrackState(id=self._next_id, s=s, P=_INIT_COV, hits=1)
         self._next_id += 1
         return track
-
-    def _restack(self):
-        """Copy the tracks' states into a new bank and point them at it."""
-        S = np.empty((len(self.tracks), 4))
-        P = np.empty((len(self.tracks), 4, 4))
-        for k, t in enumerate(self.tracks):
-            S[k], P[k] = t.s, t.P
-            t.s, t.P = S[k], P[k]
-        self._S, self._P = S, P
 
     def step(self, dets: DetectionSet):
         """Process one frame.
 
         Returns (tracks, associations) where associations maps track id to
         the index in dets.boxes of the box matched this frame, for
-        confirmed tracks only. The tracks are live: the next step changes
-        them in place. A frame whose timestamp is not after the previous
-        one raises ValueError and leaves the tracker as it was.
+        confirmed tracks only. The tracks are the tracker's own: the next
+        step updates them. A frame whose timestamp is not after the
+        previous one raises ValueError and leaves the tracker as it was.
         """
         cfg = self.cfg
         dt = None  # the first frame has no tracks to predict
@@ -342,41 +382,36 @@ class Tracker:
         kept = filter_overlaps(dets, cfg.delta_iou)
         measurements, found = process_measurements(
             kept.boxes, self.intr, self.extr, cfg.r_body)
+        ys = measurements.tolist()
         det_index = [kept.indices[k] for k in found]
 
-        if self.tracks:
-            self._S[:], self._P[:] = _predict_rows(self._S, self._P, dt)
+        for t in self.tracks:
+            t.mean, t.cov = _predict(t.mean, t.cov, dt)
 
         pairs, unmatched_t, unmatched_m = associate(
-            self.tracks, measurements, self.H, cfg.gate_distance)
+            self.tracks, ys, self.H, cfg.gate_distance)
 
         associations = {}
-        if pairs:
+        for i, j in pairs:
+            t = self.tracks[i]
             # associate refuses a non-finite cost, and each innovation is
             # minus its pair's cost vector, so every innovation is finite.
-            rows = [i for i, _ in pairs]
-            self._S[rows], self._P[rows], _ = _update_rows(
-                self._S[rows], self._P[rows],
-                measurements[[j for _, j in pairs]], self.H,
-                cfg.measurement_noise_std)
-            for i, j in pairs:
-                t = self.tracks[i]
-                t.missed = 0
-                t.hits += 1
-                if t.confirmed():
-                    associations[t.id] = det_index[j]
+            t.mean, t.cov = _update(t.mean, t.cov, ys[j], self._M,
+                                    cfg.measurement_noise_std**2)
+            t.missed = 0
+            t.hits += 1
+            if t.confirmed():
+                associations[t.id] = det_index[j]
         for i in unmatched_t:
             t = self.tracks[i]
             t.missed += 1
             if not t.confirmed():
                 t.valid = False  # tentative track lost before confirmation
         for j in unmatched_m:
-            self.tracks.append(self._new_track(measurements[j]))
+            self.tracks.append(self._new_track(ys[j]))
 
-        alive = [t for t in self.tracks if t.valid and t.missed <= MAX_MISSED]
-        if unmatched_m or len(alive) < len(self.tracks):
-            self.tracks = alive
-            self._restack()
+        self.tracks = [t for t in self.tracks
+                       if t.valid and t.missed <= MAX_MISSED]
         return self.tracks, associations
 
     def confirmed_tracks(self):

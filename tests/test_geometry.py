@@ -115,7 +115,11 @@ class TestProcessMeasurement:
         def numpy_scalars(box, extr, r):
             u_tl, u_br = np.float64(box.u_tl), np.float64(box.u_br)
             width = u_br - u_tl
-            rc_twr = extr.R_robot_cam @ extr.t_world_robot
+            # R_robot_cam @ t_world_robot as a sum of numpy scalar products:
+            # a BLAS matmul may fuse a multiply and an add.
+            R, t = extr.R_robot_cam, extr.t_world_robot
+            rc_twr = [R[k, 0] * t[0] + R[k, 1] * t[1] + R[k, 2] * t[2]
+                      for k in range(3)]
             return np.array([
                 r * (u_tl + u_br - 2.0 * wide_intr.c_x) / (2.0 * width)
                 - extr.t_robot_cam[0] - rc_twr[0],

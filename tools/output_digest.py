@@ -12,11 +12,15 @@ the digest covers:
   sequences by default, with ``--no-reid`` and with ``--mode SLT``;
 - the exit code, stdout and artifacts of ``mpfollow experiment``
   st-sweep, slt-vs-st and range-accuracy.
-It prints two lines. The first digests all these outputs; two trees print
-the same first line when all of them are the same. The second, the
+It prints three lines. The first digests all these outputs; two trees
+print the same first line when all of them are the same. The second, the
 decisions digest, leaves out the values of the per-frame scores (it keeps
 which tracks were scored), so two trees whose fits differ only by rounding
 print the same second line. No file or stdout the CLI writes holds a score.
+The third digests only the bytes the CLI writes (``metrics.txt``,
+``trace.jsonl``, ``track`` output, ``experiment`` stdout and artifacts),
+which print positions rounded, so two trees whose positions differ only
+in their last bits print the same third line.
 """
 
 from __future__ import annotations
@@ -46,16 +50,19 @@ def _import_from(src):
 
 
 class _Digests:
-    """The full digest and the decisions digest, fed the same bytes except
-    for the per-frame scores."""
+    """The full, decisions and CLI-bytes digests: the first two are fed the
+    per-frame results (the decisions digest without the score values), and
+    all three the bytes the CLI writes."""
 
     def __init__(self):
         self.full = hashlib.sha256()
         self.decisions = hashlib.sha256()
+        self.cli_bytes = hashlib.sha256()
 
     def update(self, data):
         self.full.update(data)
         self.decisions.update(data)
+        self.cli_bytes.update(data)
 
 
 def _hash_tree(h, root):
@@ -122,12 +129,11 @@ def digest(src):
             code, stdout = _cli("experiment", name, "--out-dir", out_dir)
             h.update(f"experiment {name}|{code}|{stdout}".encode())
             _hash_tree(h, out_dir)
-    return h.full.hexdigest(), h.decisions.hexdigest()
+    return h.full.hexdigest(), h.decisions.hexdigest(), h.cli_bytes.hexdigest()
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__)
-    full, decisions = digest(sys.argv[1])
-    print(full)
-    print(decisions)
+    for line in digest(sys.argv[1]):
+        print(line)
