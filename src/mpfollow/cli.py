@@ -98,16 +98,17 @@ def cmd_track(args):
                 "re-ID enabled but the sequence carries no descriptors "
                 "(rerun with --no-reid or provide descriptors)", EXIT_USAGE)
 
-    intr = DEFAULT_INTRINSICS
+    intr, mount = DEFAULT_INTRINSICS, None
     if args.calibration:
         try:
-            intr, _ = seqio.load_calibration(args.calibration)
+            intr, mount = seqio.load_calibration(args.calibration)
         except seqio.SchemaError as e:
             raise CliError("schema", str(e), EXIT_SCHEMA)
 
     pipe = FollowPipeline(intr, tracker_cfg, reid_cfg,
                           target_person_id=args.target_person,
-                          reid_enabled=not args.no_reid, seed=args.seed)
+                          reid_enabled=not args.no_reid, seed=args.seed,
+                          mount=mount)
     rows = []
     for record in frames:
         result = pipe.process_frame(record)

@@ -74,8 +74,8 @@ def _check_rotation(R, name):
 
 @dataclass(frozen=True)
 class Extrinsics:
-    """World->robot and robot->camera rigid transforms, (3, 3) and (3,) arrays;
-    robot_pose_extrinsics and seqio.load_calibration check their inputs."""
+    """World->robot and robot->camera rigid transforms, (3, 3) and (3,) arrays,
+    unchecked: seqio.load_calibration and FollowPipeline check a mount."""
 
     R_world_robot: np.ndarray
     t_world_robot: np.ndarray
@@ -89,24 +89,22 @@ class Extrinsics:
         return self.R_robot_cam @ p_robot + self.t_robot_cam
 
 
-def robot_pose_extrinsics(x, y, theta, R_robot_cam=None, t_robot_cam=None):
+def robot_pose_extrinsics(x, y, theta, R_robot_cam=FORWARD_CAMERA_ROTATION,
+                          t_robot_cam=(0.0, 0.0, 0.0)):
     """Extrinsics for a robot at world pose (x, y, heading theta).
 
     The world->robot transform inverts the robot pose; the camera mount
-    defaults to a forward-looking camera at the robot origin. Only a
-    caller's R_robot_cam is validated: the inverse heading rotation of a
-    finite theta and FORWARD_CAMERA_ROTATION are rotations by construction.
+    defaults to a forward-looking camera at the robot origin. This runs
+    every frame, so a caller's mount is passed on unchecked: it is checked
+    once where it enters.
     """
     if not all(map(math.isfinite, (x, y, theta))):
         raise GeometryError(f"robot pose ({x}, {y}, {theta}) is not finite")
     c, s = math.cos(theta), math.sin(theta)
     R_wr = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])  # Rz^T
     t_wr = np.array([-(c * x + s * y), s * x - c * y, 0.0])
-    R_rc = (FORWARD_CAMERA_ROTATION if R_robot_cam is None
-            else _check_rotation(R_robot_cam, "R_robot_cam"))
-    t_rc = np.zeros(3) if t_robot_cam is None else (
-        np.asarray(t_robot_cam, dtype=float).reshape(3))
-    return Extrinsics(R_wr, t_wr, R_rc, t_rc)
+    return Extrinsics(R_wr, t_wr, np.asarray(R_robot_cam, dtype=float),
+                      np.asarray(t_robot_cam, dtype=float).reshape(3))
 
 
 @dataclass(frozen=True)
@@ -204,6 +202,18 @@ def build_observation_model(extr: Extrinsics) -> np.ndarray:
         for j in range(2):
             H[k, j] = row[0] * wr[0][j] + row[1] * wr[1][j] + row[2] * wr[2][j]
     return H
+
+
+def spanning_block(H, name):
+    """The block M of H = [M 0] as floats (a, b, c, d); GeometryError naming
+    the mount unless |det M| > 1e-9. M's rows are parts of rotation rows, so
+    |det M| <= 1, and a track seeded as M^-1 y below that is mostly rounding.
+    The robot's heading only rotates M's columns: det M is the mount's."""
+    (a, b, _, _), (c, d, _, _) = H.tolist()
+    if not abs(a * d - b * c) > 1e-9:
+        raise GeometryError(f"{name}: the camera's x and z axes do not span "
+                            "the ground plane")
+    return a, b, c, d
 
 
 def project_person(world_pos, r: float, h: float, intr: CameraIntrinsics,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, reid
-from .geometry import CameraIntrinsics
+from .geometry import CameraIntrinsics, Extrinsics, _check_rotation
 from .reid import (
     FollowerMode,
     FollowerState,
@@ -36,22 +36,29 @@ class FrameResult:
 
 
 class FollowPipeline:
-    """Stateful person-following estimator over a detection sequence."""
+    """Stateful person-following estimator over a detection sequence. The
+    camera mount (an Extrinsics' R_robot_cam and t_robot_cam, as
+    seqio.load_calibration returns) is checked here once, not per frame."""
 
     def __init__(self, intr: CameraIntrinsics,
                  tracker_cfg: TrackerConfig | None = None,
                  reid_cfg: ReidConfig | None = None,
-                 target_person_id: int | None = 0,
+                 target_person_id: int = 0,
                  reid_enabled: bool = True,
-                 seed: int = 0):
+                 seed: int = 0,
+                 mount: Extrinsics | None = None):
         self.intr = intr
         self.tracker_cfg = tracker_cfg or TrackerConfig()
         self.reid_cfg = reid_cfg or ReidConfig()
         self.reid_enabled = reid_enabled
         self.target_person_id = target_person_id
-        # Without a robot_pose the robot stays at the origin, camera forward.
-        self.tracker = Tracker(intr, geometry.robot_pose_extrinsics(0, 0, 0),
-                               self.tracker_cfg)
+        mount = mount or geometry.robot_pose_extrinsics(0, 0, 0)
+        self.mount = (_check_rotation(mount.R_robot_cam, "R_robot_cam"),
+                      mount.t_robot_cam)
+        # Without a robot_pose the robot stays at the origin. The Tracker
+        # refuses a mount whose H has rank < 2.
+        self.tracker = Tracker(intr, geometry.robot_pose_extrinsics(
+            0, 0, 0, *self.mount), self.tracker_cfg)
         self.extractor = PassthroughExtractor()
         self.sample_set = SampleSet(self.reid_cfg.capacity, self.reid_cfg.mode,
                                     rng=np.random.default_rng(seed))
@@ -63,7 +70,8 @@ class FollowPipeline:
         """record is a sim.FrameRecord (descriptors may be None when re-ID is off)."""
         if record.robot_pose is not None:
             x, y, theta = record.robot_pose
-            self.tracker.set_extrinsics(geometry.robot_pose_extrinsics(x, y, theta))
+            self.tracker.set_extrinsics(
+                geometry.robot_pose_extrinsics(x, y, theta, *self.mount))
 
         dets = DetectionSet([d.box for d in record.detections],
                             record.timestamp)
@@ -106,8 +114,6 @@ class FollowPipeline:
 
     def _try_bootstrap(self, track_person):
         """Operator-style target designation by ground-truth person id."""
-        if self.target_person_id is None:
-            return None
         for tid, pid in track_person.items():
             if pid == self.target_person_id:
                 self.state.mode = FollowerMode.FOLLOWING

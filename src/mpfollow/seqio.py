@@ -20,8 +20,10 @@ from .geometry import (
     MIN_BOX_WIDTH,
     BoundingBox,
     CameraIntrinsics,
-    Extrinsics,
     _check_rotation,
+    build_observation_model,
+    robot_pose_extrinsics,
+    spanning_block,
 )
 from .sim import (
     Detection,
@@ -195,8 +197,6 @@ def write_tracks(rows, path):
 
 def _parse_rotation(value, field):
     """A calibration rotation; one given by numbers must be a rotation matrix."""
-    if value is None or value == "identity":
-        return np.eye(3)
     if value == "forward":
         return FORWARD_CAMERA_ROTATION
     rpy = _numbers(value.get("rpy"), 3) if isinstance(value, dict) else None
@@ -212,15 +212,8 @@ def _parse_rotation(value, field):
     vals = _numbers(value, 9)
     if vals is None:
         raise SchemaError(f"field '{field}': expected 9 numbers (row-major), "
-                          "{rpy: [3 numbers]}, 'identity' or 'forward'")
+                          "{rpy: [3 numbers]} or 'forward'")
     return _check_rotation(np.array(vals).reshape(3, 3), field)
-
-
-def _parse_translation(value, field):
-    vals = _numbers(value, 3)
-    if vals is None:
-        raise SchemaError(f"field '{field}': expected 3 numbers within ±{_LIMIT:g}")
-    return np.array(vals)
 
 
 def _read_yaml(path):
@@ -233,23 +226,28 @@ def _read_yaml(path):
 
 def _parse_intrinsics(intr) -> CameraIntrinsics:
     """The 'intrinsics' mapping of a calibration or scenario file."""
-    for field in ("f_x", "f_y", "c_x", "c_y", "image_width", "image_height"):
+    fields = ("f_x", "f_y", "c_x", "c_y", "image_width", "image_height")
+    for field in fields:
         if field not in intr:
             raise SchemaError(f"field 'intrinsics.{field}': missing")
-    for field in ("image_width", "image_height"):
+    for field in fields[:4]:
+        if _numbers([intr[field]], 1) is None:
+            raise SchemaError(f"field 'intrinsics.{field}': expected a number "
+                              f"within ±{_LIMIT:g}")
+    for field in fields[4:]:
         if type(intr[field]) is not int:
             raise SchemaError(f"field 'intrinsics.{field}': expected an integer")
     try:
-        return CameraIntrinsics(
-            float(intr["f_x"]), float(intr["f_y"]),
-            float(intr["c_x"]), float(intr["c_y"]),
-            intr["image_width"], intr["image_height"])
-    except (TypeError, ValueError, OverflowError) as e:  # GeometryError too
+        return CameraIntrinsics(*(float(intr[field]) for field in fields[:4]),
+                                intr["image_width"], intr["image_height"])
+    except ValueError as e:  # GeometryError
         raise SchemaError(f"intrinsics: {e}") from e
 
 
 def load_calibration(path):
-    """Read a calibration YAML file into (CameraIntrinsics, Extrinsics)."""
+    """Read a calibration YAML file into (CameraIntrinsics, the camera mount
+    as the Extrinsics of a robot at the origin): each sequence frame's
+    robot_pose owns the robot pose, so a calibration holds only the mount."""
     data = _read_yaml(path)
     if not isinstance(data, dict) or not isinstance(data.get("intrinsics"), dict):
         raise SchemaError(f"{path}: field 'intrinsics': missing or not a mapping")
@@ -260,17 +258,24 @@ def load_calibration(path):
 
     extr = data.get("extrinsics") or {}
     try:
-        extrinsics = Extrinsics(
-            _parse_rotation(extr.get("r_world_robot"), "extrinsics.r_world_robot"),
-            _parse_translation(extr.get("t_world_robot", [0, 0, 0]),
-                               "extrinsics.t_world_robot"),
-            _parse_rotation(extr.get("r_robot_cam", "forward"),
-                            "extrinsics.r_robot_cam"),
-            _parse_translation(extr.get("t_robot_cam", [0, 0, 0]),
-                               "extrinsics.t_robot_cam"))
-    except (AttributeError, ValueError) as e:  # SchemaError, GeometryError too
+        if not isinstance(extr, dict):
+            raise SchemaError("expected a mapping")
+        for key in extr:
+            if key not in ("r_robot_cam", "t_robot_cam"):
+                raise SchemaError(f"field 'extrinsics.{key}': not a camera "
+                                  "mount field (r_robot_cam, t_robot_cam)")
+        R = _parse_rotation(extr.get("r_robot_cam", "forward"),
+                            "extrinsics.r_robot_cam")
+        t = _numbers(extr.get("t_robot_cam", [0, 0, 0]), 3)
+        if t is None:
+            raise SchemaError("field 'extrinsics.t_robot_cam': expected 3 "
+                              f"numbers within ±{_LIMIT:g}")
+        mount = robot_pose_extrinsics(0, 0, 0, R, t)
+        spanning_block(build_observation_model(mount),
+                       "field 'extrinsics.r_robot_cam'")
+    except ValueError as e:  # SchemaError, GeometryError too
         raise SchemaError(f"{path}: extrinsics: {e}") from e
-    return intrinsics, extrinsics
+    return intrinsics, mount
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,11 @@ import numpy as np
 from .geometry import (
     CameraIntrinsics,
     Extrinsics,
-    GeometryError,
     build_observation_model,
     iou,
     process_measurement,  # not called here: framebench's tracer hooks this name
     process_measurements,
+    spanning_block,
 )
 
 
@@ -340,20 +340,16 @@ class Tracker:
         self.set_extrinsics(extr)
 
     def set_extrinsics(self, extr: Extrinsics):
-        """Install the current robot pose; H depends on it."""
-        self.extr = extr
-        self.H = build_observation_model(extr)
-        self._M = _position_block(self.H)
+        """Install the current robot pose; H depends on it. A mount whose H
+        has rank < 2 raises GeometryError and leaves the tracker as it was."""
+        H = build_observation_model(extr)
+        M = spanning_block(H, "R_robot_cam")
+        self.extr, self.H, self._M = extr, H, M
 
     def _new_track(self, y):
-        # Seed the world position by inverting M. Its rows are parts of
-        # rotation rows, so |det| <= 1; below 1e-9 the seed is mostly rounding.
+        # Seed the world position by inverting M, of rank 2 by set_extrinsics.
         a, b, c, d = self._M
         det = a * d - b * c
-        if not abs(det) > 1e-9:
-            raise GeometryError(
-                f"camera mount R_robot_cam {self.extr.R_robot_cam.tolist()}: "
-                f"its x and z axes do not span the ground plane")
         y0, y1 = y
         s = [(d * y0 - b * y1) / det, (a * y1 - c * y0) / det, 0.0, 0.0]
         track = TrackState(id=self._next_id, s=s, P=_INIT_COV, hits=1)

@@ -112,6 +112,28 @@ class TestTrack:
         assert {"frame_index", "track_id", "x", "y", "box"} <= set(rows[0])
         assert any(r.get("is_target") for r in rows)
 
+    def test_calibration_mount_moves_tracks(self, tmp_path, capsys, sequence):
+        # A camera 5 m behind the robot origin (camera z is robot x) sees
+        # each box 5 m farther from the robot: every row's x is 5 m less,
+        # to the 1e-6 m the rows are written with, and nothing else moves.
+        calib = tmp_path / "calib.yaml"
+        calib.write_text(
+            "intrinsics: {f_x: 500.0, f_y: 500.0, c_x: 640.0, c_y: 360.0,\n"
+            "             image_width: 1280, image_height: 720}\n"
+            "extrinsics: {t_robot_cam: [0, 0, 5]}\n")
+        rows = []
+        for extra in ([], ["--calibration", str(calib)]):
+            out = tmp_path / "tracks.jsonl"
+            code, _, _ = run(capsys, "track", str(sequence), "-o", str(out),
+                             *extra)
+            assert code == EXIT_OK
+            rows.append([json.loads(l) for l in out.read_text().splitlines()])
+        plain, mounted = rows
+        assert len(plain) == len(mounted) and any(r["is_target"] for r in plain)
+        for a, b in zip(plain, mounted):
+            assert b.pop("x") == pytest.approx(a.pop("x") - 5.0, rel=0, abs=1e-6)
+            assert a == b
+
     def test_no_reid_mode(self, tmp_path, capsys, sequence):
         out = tmp_path / "tracks.jsonl"
         code, _, _ = run(capsys, "track", str(sequence), "--no-reid",
@@ -439,8 +461,27 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("command", ["track", "validate-config"])
     @pytest.mark.parametrize("f_x, extra, where", [
-        (".inf", "", "intrinsics"), (".nan", "", "intrinsics"),
-        ("-.inf", "", "intrinsics"), ("x", "", "intrinsics"),
+        (".inf", "", "field 'intrinsics.f_x'"),
+        (".nan", "", "field 'intrinsics.f_x'"),
+        ("-.inf", "", "field 'intrinsics.f_x'"),
+        ("x", "", "field 'intrinsics.f_x'"),
+        ("true", "", "field 'intrinsics.f_x'"),
+        ("'500'", "", "field 'intrinsics.f_x'"),
+        ("-500.0", "", "intrinsics: focal lengths"),
+        # The robot pose is each frame's robot_pose, and nothing else.
+        ("500.0", "extrinsics: {r_world_robot: identity}\n",
+         "extrinsics: field 'extrinsics.r_world_robot'"),
+        ("500.0", "extrinsics: {t_world_robot: [1, 2, 0]}\n",
+         "extrinsics: field 'extrinsics.t_world_robot'"),
+        ("500.0", "extrinsics: {t_robot_camera: [1, 2, 3]}\n",
+         "extrinsics: field 'extrinsics.t_robot_camera'"),
+        # Mounts that see the ground plane edge-on: no position to track.
+        ("500.0", "extrinsics: {r_robot_cam: identity}\n",
+         "extrinsics: field 'extrinsics.r_robot_cam'"),
+        ("500.0", "extrinsics: {r_robot_cam: [1, 0, 0, 0, 1, 0, 0, 0, 1]}\n",
+         "extrinsics: field 'extrinsics.r_robot_cam'"),
+        ("500.0", "extrinsics: {r_robot_cam: [0, -1, 0, -1, 0, 0, 0, 0, -1]}\n",
+         "extrinsics: field 'extrinsics.r_robot_cam'"),
         ("500.0", "extrinsics: 5\n", "extrinsics"),
         ("500.0", "extrinsics: {t_robot_cam: [a, 0, 0]}\n", "extrinsics"),
         ("500.0", "extrinsics: {r_robot_cam: {rpy: [0, 1]}}\n", "extrinsics"),

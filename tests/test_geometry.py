@@ -18,6 +18,7 @@ from mpfollow.geometry import (
     project_person,
     robot_pose_extrinsics,
 )
+from mpfollow.pipeline import FollowPipeline
 
 from conftest import random_extrinsics
 
@@ -232,9 +233,13 @@ class TestValidation:
         with pytest.raises(GeometryError):
             robot_pose_extrinsics(*pose)
 
-    def test_pose_extrinsics_checks_caller_mount(self):
-        with pytest.raises(GeometryError):
-            robot_pose_extrinsics(0.0, 0.0, 0.0, R_robot_cam=np.eye(3) * 2)
+    def test_pose_extrinsics_passes_caller_mount(self, wide_intr):
+        # The per-frame call passes a mount on unchecked; the pipeline that
+        # takes the mount checks it once, at construction.
+        scaled = robot_pose_extrinsics(0.0, 0.0, 0.0, R_robot_cam=np.eye(3) * 2)
+        np.testing.assert_array_equal(scaled.R_robot_cam, np.eye(3) * 2)
+        with pytest.raises(GeometryError, match="R_robot_cam is not orthonormal"):
+            FollowPipeline(wide_intr, mount=scaled)
         extr = robot_pose_extrinsics(0.0, 0.0, 0.0, R_robot_cam=np.eye(3),
                                      t_robot_cam=[0, 0, 1])
         np.testing.assert_array_equal(extr.t_robot_cam, [0.0, 0.0, 1.0])

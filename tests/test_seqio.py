@@ -181,20 +181,22 @@ class TestCalibration:
         np.testing.assert_allclose(extr.R_robot_cam, FORWARD_CAMERA_ROTATION)
 
     def test_load_full_extrinsics(self, tmp_path):
+        # The calibration gives only the mount; the robot sits at the origin.
         p = tmp_path / "calib.yaml"
         p.write_text(
             "intrinsics:\n"
             "  f_x: 500.0\n  f_y: 500.0\n  c_x: 320.0\n  c_y: 240.0\n"
             "  image_width: 640\n  image_height: 480\n"
             "extrinsics:\n"
-            "  r_world_robot: identity\n"
-            "  t_world_robot: [1.0, 2.0, 0.0]\n"
             "  r_robot_cam:\n"
-            "    rpy: [0.0, 0.0, 0.0]\n"
+            "    rpy: [1.5707963267948966, -1.5707963267948966, 0.0]\n"
             "  t_robot_cam: [0.1, 0.0, 0.5]\n")
         _, extr = load_calibration(str(p))
-        np.testing.assert_allclose(extr.t_world_robot, [1.0, 2.0, 0.0])
-        np.testing.assert_allclose(extr.R_robot_cam, np.eye(3))
+        np.testing.assert_allclose(extr.R_robot_cam, FORWARD_CAMERA_ROTATION,
+                                   atol=1e-15)
+        np.testing.assert_array_equal(extr.t_robot_cam, [0.1, 0.0, 0.5])
+        np.testing.assert_array_equal(extr.R_world_robot, np.eye(3))
+        np.testing.assert_array_equal(extr.t_world_robot, np.zeros(3))
 
     def test_missing_intrinsic_field(self, tmp_path):
         p = tmp_path / "calib.yaml"
@@ -213,20 +215,19 @@ class TestCalibration:
         with pytest.raises(SchemaError, match="r_robot_cam"):
             load_calibration(str(p))
 
-    @pytest.mark.parametrize("field", ["r_world_robot", "r_robot_cam"])
     @pytest.mark.parametrize("matrix, why", [
         ([2, 0, 0, 0, 2, 0, 0, 0, 2], "is not orthonormal"),
         ([1, 0, 0, 0, 1, 0, 0, 0, -1], "must have determinant"),
     ], ids=["scaled", "reflection"])
-    def test_non_rotation_refused(self, tmp_path, field, matrix, why):
-        # Rotations enter from outside only here, so here they are checked.
+    def test_non_rotation_refused(self, tmp_path, matrix, why):
+        # A mount enters from a file here, so here its rotation is checked.
         p = tmp_path / "calib.yaml"
         p.write_text(
             "intrinsics:\n"
             "  f_x: 500.0\n  f_y: 500.0\n  c_x: 320.0\n  c_y: 240.0\n"
             "  image_width: 640\n  image_height: 480\n"
-            f"extrinsics:\n  {field}: {matrix}\n")
-        with pytest.raises(SchemaError, match=f"extrinsics.{field} {why}"):
+            f"extrinsics:\n  r_robot_cam: {matrix}\n")
+        with pytest.raises(SchemaError, match=f"extrinsics.r_robot_cam {why}"):
             load_calibration(str(p))
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -22,6 +23,7 @@ from mpfollow.geometry import (
     process_measurement,
     robot_pose_extrinsics,
 )
+from mpfollow.pipeline import FollowPipeline
 from mpfollow.tracker import (
     DetectionSet,
     Tracker,
@@ -638,11 +640,48 @@ class TestScalarKernels:
     def test_singular_position_block_refused(self, wide_intr, mount):
         # Both mounts see the ground plane edge-on: H has rank 1 (the
         # second only up to the rounding of cos(pi/2)), so no world
-        # position can seed a track.
-        tr = Tracker(wide_intr, robot_pose_extrinsics(0, 0, 0, R_robot_cam=mount))
-        assert np.linalg.matrix_rank(tr.H, tol=1e-9) == 1
+        # position can seed a track. The mount is refused where it is
+        # installed, before the tracker changes any state.
+        extr = robot_pose_extrinsics(0, 0, 0, R_robot_cam=mount)
+        assert np.linalg.matrix_rank(build_observation_model(extr), tol=1e-9) == 1
         with pytest.raises(GeometryError, match="R_robot_cam"):
-            tr.step(DetectionSet([BoundingBox(600, 100, 680, 500)], 0.0))
+            Tracker(wide_intr, extr)
+        with pytest.raises(GeometryError, match="R_robot_cam"):
+            FollowPipeline(wide_intr, mount=extr)
+        tr = Tracker(wide_intr, robot_pose_extrinsics(0, 0, 0))
+        tr.step(DetectionSet([BoundingBox(600, 100, 680, 500)], 0.0))
+        before = (tr.extr, tr.H, tr._M, [(t.mean, t.cov) for t in tr.tracks])
+        with pytest.raises(GeometryError, match="R_robot_cam"):
+            tr.set_extrinsics(extr)
+        assert (tr.extr, tr.H, tr._M,
+                [(t.mean, t.cov) for t in tr.tracks]) == before
+
+    @given(rpy=st.lists(st.floats(-7, 7) | st.sampled_from(
+               [0.0, math.pi / 2, -math.pi / 2, math.pi]), min_size=3, max_size=3),
+           t=st.lists(finite, min_size=3, max_size=3),
+           poses=st.lists(st.tuples(*[st.floats(-1e50, 1e50)] * 3),
+                          min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_loaded_mount_steps_at_any_pose(self, tmp_path_factory, rpy, t,
+                                            poses):
+        # Any rpy mount that load_calibration accepts tracks at any robot
+        # pose the sequence loader accepts: no GeometryError mid-run.
+        calib = tmp_path_factory.getbasetemp() / "mount.yaml"
+        calib.write_text(yaml.safe_dump({
+            "intrinsics": {"f_x": 500.0, "f_y": 500.0, "c_x": 640.0,
+                           "c_y": 360.0, "image_width": 1280,
+                           "image_height": 720},
+            "extrinsics": {"r_robot_cam": {"rpy": rpy}, "t_robot_cam": t}}))
+        try:
+            intr, mount = seqio.load_calibration(str(calib))
+        except seqio.SchemaError:
+            assume(False)
+        pipe = FollowPipeline(intr, mount=mount, reid_enabled=False)
+        boxes = [BoundingBox(300, 100, 380, 500), BoundingBox(600, 100, 700, 600)]
+        for k, pose in enumerate(poses * 2):
+            pipe.process_frame(sim.FrameRecord(
+                k, 0.1 * k, [sim.Detection(b, None, None) for b in boxes],
+                pose, {}))
 
     def test_reid_off_outputs_independent_of_blas_kernel(self, tmp_path):
         # A turning robot read from a sequence file, tracked with re-ID off
