@@ -19,8 +19,16 @@ EXIT_SCHEMA = 2
 EXIT_USAGE = 3
 EXIT_RUNTIME = 4
 
+# Re-ID sweeps: the scenario, the header line and the (mode, capacity) runs.
+SWEEPS = {
+    "st-sweep": ("room_like", "scenario=room_like mode=ST capacity sweep",
+                 [("ST", cap) for cap in (16, 32, 64, 128)]),
+    "slt-vs-st": ("corridor1_like",
+                  "scenario=corridor1_like GRR_SLT_64 vs GRR_ST_64",
+                  [("ST", 64), ("SLT", 64)]),
+}
 # Named experiments; `experiment` also runs any built-in scenario by name.
-EXPERIMENTS = ("st-sweep", "slt-vs-st", "range-accuracy")
+EXPERIMENTS = (*SWEEPS, "range-accuracy")
 
 
 class CliError(Exception):
@@ -38,10 +46,7 @@ def _resolve_scenario(name_or_path):
         raise CliError("usage",
                        f"unknown scenario '{name_or_path}' (built-ins: "
                        f"{', '.join(sorted(builtins))})", EXIT_USAGE)
-    try:
-        return seqio.load_scenario(name_or_path)
-    except seqio.SchemaError as e:
-        raise CliError("schema", str(e), EXIT_SCHEMA)
+    return seqio.load_scenario(name_or_path)
 
 
 def _out_dir(args):
@@ -81,10 +86,7 @@ def cmd_generate(args):
 
 
 def cmd_track(args):
-    try:
-        frames = seqio.read_sequence(args.sequence)
-    except seqio.SchemaError as e:
-        raise CliError("schema", str(e), EXIT_SCHEMA)
+    frames = seqio.read_sequence(args.sequence)
     tracker_cfg = _tracker_config(args)
     reid_cfg = _reid_config(args)
     _print_config(args, tracker_cfg, reid_cfg)
@@ -100,10 +102,7 @@ def cmd_track(args):
 
     intr, mount = DEFAULT_INTRINSICS, None
     if args.calibration:
-        try:
-            intr, mount = seqio.load_calibration(args.calibration)
-        except seqio.SchemaError as e:
-            raise CliError("schema", str(e), EXIT_SCHEMA)
+        intr, mount = seqio.load_calibration(args.calibration)
 
     pipe = FollowPipeline(intr, tracker_cfg, reid_cfg,
                           target_person_id=args.target_person,
@@ -139,27 +138,19 @@ def cmd_experiment(args):
     name = args.name
     if name not in EXPERIMENTS and name not in scenarios:
         raise CliError("usage", f"unknown experiment '{name}'", EXIT_USAGE)
-    if name in ("st-sweep", "slt-vs-st") and (
-            args.mode is not None or args.capacity is not None):
+    if name in SWEEPS and (args.mode is not None or args.capacity is not None):
         raise CliError("config", f"experiment {name} sets --mode and "
                        "--capacity itself", EXIT_USAGE)
     _print_config(args, tracker_cfg, reid_cfg)
-    if name == "st-sweep":
-        print("scenario=room_like mode=ST capacity sweep")
-        for cap in (16, 32, 64, 128):
+    if name in SWEEPS:
+        scenario, header, runs = SWEEPS[name]
+        print(header)
+        for mode, cap in runs:
             r, _, _ = evaluation.run_experiment(
-                scenarios["room_like"], tracker_cfg,
-                replace(reid_cfg, mode="ST", capacity=cap), seed=seed,
-                out_dir=os.path.join(out_dir, f"st_{cap}"))
-            print(f"GRR_ST_{cap} precision@50px {r.ap:.3f}")
-    elif name == "slt-vs-st":
-        print("scenario=corridor1_like GRR_SLT_64 vs GRR_ST_64")
-        for mode in ("ST", "SLT"):
-            r, _, _ = evaluation.run_experiment(
-                scenarios["corridor1_like"], tracker_cfg,
-                replace(reid_cfg, mode=mode, capacity=64), seed=seed,
-                out_dir=os.path.join(out_dir, f"{mode.lower()}_64"))
-            print(f"GRR_{mode}_64 precision@50px {r.ap:.3f}")
+                scenarios[scenario], tracker_cfg,
+                replace(reid_cfg, mode=mode, capacity=cap), seed=seed,
+                out_dir=os.path.join(out_dir, f"{mode.lower()}_{cap}"))
+            print(f"GRR_{mode}_{cap} precision@50px {r.ap:.3f}")
     elif name == "range-accuracy":
         _, stats, _ = evaluation.run_experiment(
             scenarios["range_sweep"],
@@ -180,13 +171,10 @@ def cmd_experiment(args):
 
 def cmd_validate_config(args):
     path = args.path
-    try:
-        if args.kind == "scenario":  # argparse allows no other kind
-            seqio.load_scenario(path)
-        else:
-            seqio.load_calibration(path)
-    except seqio.SchemaError as e:
-        raise CliError("schema", str(e), EXIT_SCHEMA)
+    if args.kind == "scenario":  # argparse allows no other kind
+        seqio.load_scenario(path)
+    else:
+        seqio.load_calibration(path)
     print(f"{path}: valid {args.kind}")
     return EXIT_OK
 
@@ -248,6 +236,9 @@ def main(argv=None):
     except CliError as e:
         print(f"error[{e.category}]: {e}", file=sys.stderr)
         return e.code
+    except seqio.SchemaError as e:  # a malformed input file
+        print(f"error[schema]: {e}", file=sys.stderr)
+        return EXIT_SCHEMA
     except FileNotFoundError as e:
         print(f"error[io]: {e}", file=sys.stderr)
         return EXIT_RUNTIME

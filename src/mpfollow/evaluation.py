@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pipeline import FollowPipeline
-from .sim import DEFAULT_INTRINSICS, Scenario, generate
+from .sim import Scenario, generate
 
 METRICS_FORMAT = "mpfollow-metrics-1"
 THRESHOLD_PX = 50.0
@@ -29,8 +29,7 @@ class EvaluationError(ValueError):
 
 @dataclass
 class ReidResult:
-    frames: list                      # (frame_index, est_center, gt_center)
-    ap: float = 0.0                   # precision at THRESHOLD_PX
+    ap: float                         # precision at THRESHOLD_PX
 
 
 @dataclass
@@ -107,28 +106,20 @@ def _estimated_range(result, record):
     return math.hypot(x - rx, y - ry)
 
 
-def run_experiment(source, tracker_cfg=None, reid_cfg=None, seed=0,
+def run_experiment(scenario: Scenario, tracker_cfg=None, reid_cfg=None, seed=0,
                    reid_enabled=True, out_dir=None):
-    """Run the full pipeline over a scenario or pre-generated frames.
+    """Run the full pipeline over the frames the scenario generates.
 
     Returns (ReidResult, RangeErrorStats, trace) where trace is the list
     of per-frame dicts also written to disk when out_dir is given.
     """
-    if isinstance(source, Scenario):
-        frames = generate(source, seed)
-        target_id = source.target_id
-        intr = source.intrinsics
-    else:
-        frames = source
-        target_id = 0
-        intr = DEFAULT_INTRINSICS
-
-    pipe = FollowPipeline(intr, tracker_cfg, reid_cfg,
+    target_id = scenario.target_id
+    pipe = FollowPipeline(scenario.intrinsics, tracker_cfg, reid_cfg,
                           target_person_id=target_id,
                           reid_enabled=reid_enabled, seed=seed)
 
     reid_frames, range_pairs, trace = [], [], []
-    for record in frames:
+    for record in generate(scenario, seed):
         result = pipe.process_frame(record)
         gt_center = _gt_target_center(record, target_id)
         est_center = result.target_box.center if result.target_box else None
@@ -157,7 +148,7 @@ def run_experiment(source, tracker_cfg=None, reid_cfg=None, seed=0,
             "n_tracks": len(result.tracks),
         })
 
-    reid_result = ReidResult(reid_frames, reid_precision(reid_frames))
+    reid_result = ReidResult(reid_precision(reid_frames))
     stats = range_error_stats(range_pairs)
 
     if out_dir is not None:

@@ -7,9 +7,11 @@ and externally supplied data stay interchangeable.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -20,6 +22,7 @@ from .geometry import (
     MIN_BOX_WIDTH,
     BoundingBox,
     CameraIntrinsics,
+    GeometryError,
     _check_rotation,
     build_observation_model,
     robot_pose_extrinsics,
@@ -192,167 +195,175 @@ def write_tracks(rows, path):
 
 
 # ---------------------------------------------------------------------------
-# Calibration files
+# YAML files: calibrations and scenarios, each mapping read by its table
+
+
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1, which reads a float only with a dot and a signed exponent,
+    but with 1e-5, 1e5 and 1E+3 read as numbers, as in YAML 1.2 and JSON."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
+def _fail(field, why):
+    raise SchemaError(f"field '{field}': {why}" if field else why)
+
+
+# A kind reads one value of a mapping: kind(value, field) is the value to
+# build with, or SchemaError naming field.
+
+def _number(value, field):
+    return (_numbers([value], 1)
+            or _fail(field, f"expected a number within ±{_LIMIT:g}"))[0]
+
+
+def _integer(value, field):
+    return value if type(value) is int else _fail(field, "expected an integer")
+
+
+def _text(value, field):
+    return value if type(value) is str else _fail(field, "expected text")
+
+
+def _row(*names):
+    """The kind of one [names...] list of numbers, as a tuple of floats."""
+    why = f"expected [{', '.join(names)}], numbers within ±{_LIMIT:g}"
+    return lambda value, field: tuple(_numbers(value, len(names))
+                                      or _fail(field, why))
+
+
+def _list(kind, build=list):
+    """The kind of a list of values that kind reads, as build(list)."""
+    def read(value, field):
+        if type(value) is not list:
+            _fail(field, "expected a list")
+        return build([kind(v, f"{field}[{i}]") for i, v in enumerate(value)])
+    return read
 
 
 def _parse_rotation(value, field):
-    """A calibration rotation; one given by numbers must be a rotation matrix."""
+    """A mount rotation: 'forward', {rpy: [3 numbers]} or 9 numbers
+    (row-major). One given by numbers must be a rotation matrix, and the
+    camera's x and z axes must span the ground plane."""
     if value == "forward":
         return FORWARD_CAMERA_ROTATION
-    rpy = _numbers(value.get("rpy"), 3) if isinstance(value, dict) else None
-    if rpy is not None:
-        roll, pitch, yaw = rpy
+    if type(value) is dict:
+        roll, pitch, yaw = _RPY(value, field)
         cr, sr = math.cos(roll), math.sin(roll)
         cp, sp = math.cos(pitch), math.sin(pitch)
         cy, sy = math.cos(yaw), math.sin(yaw)
         Rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
         Ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
         Rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
-        return _check_rotation(Rz @ Ry @ Rx, field)
-    vals = _numbers(value, 9)
-    if vals is None:
-        raise SchemaError(f"field '{field}': expected 9 numbers (row-major), "
-                          "{rpy: [3 numbers]} or 'forward'")
-    return _check_rotation(np.array(vals).reshape(3, 3), field)
-
-
-def _read_yaml(path):
-    with open(path) as f:
-        try:
-            return yaml.safe_load(f)
-        except yaml.YAMLError as e:
-            raise SchemaError(f"{path}: invalid YAML: {e}") from e
-
-
-def _parse_intrinsics(intr) -> CameraIntrinsics:
-    """The 'intrinsics' mapping of a calibration or scenario file."""
-    fields = ("f_x", "f_y", "c_x", "c_y", "image_width", "image_height")
-    for field in fields:
-        if field not in intr:
-            raise SchemaError(f"field 'intrinsics.{field}': missing")
-    for field in fields[:4]:
-        if _numbers([intr[field]], 1) is None:
-            raise SchemaError(f"field 'intrinsics.{field}': expected a number "
-                              f"within ±{_LIMIT:g}")
-    for field in fields[4:]:
-        if type(intr[field]) is not int:
-            raise SchemaError(f"field 'intrinsics.{field}': expected an integer")
+        R = Rz @ Ry @ Rx
+    else:
+        R = np.array(_numbers(value, 9) or _fail(
+            field, "expected 9 numbers (row-major), {rpy: [3 numbers]} "
+            "or 'forward'")).reshape(3, 3)
     try:
-        return CameraIntrinsics(*(float(intr[field]) for field in fields[:4]),
-                                intr["image_width"], intr["image_height"])
-    except ValueError as e:  # GeometryError
-        raise SchemaError(f"intrinsics: {e}") from e
+        R = _check_rotation(R, f"field '{field}': the rotation")
+        spanning_block(build_observation_model(robot_pose_extrinsics(
+            0, 0, 0, R)), f"field '{field}'")
+    except GeometryError as e:
+        raise SchemaError(str(e)) from e
+    return R
+
+
+class _Table:
+    """One YAML mapping's keys, each with the kind that reads its value, and
+    build, called with the values read as keywords. defaults holds, in file
+    terms, values for keys that build needs and a file may leave out; a key
+    that build has no default for and defaults lacks is required."""
+
+    def __init__(self, build, kinds, defaults=None):
+        self.build, self.kinds, self.defaults = build, kinds, defaults or {}
+        self.required = [
+            p.name for p in inspect.signature(build).parameters.values()
+            if p.default is p.empty and p.name not in self.defaults]
+
+    def __call__(self, data, field=""):
+        """build(**values read from data); SchemaError names the first
+        unknown key, missing key or bad value. An optional mapping left
+        empty (`extrinsics:` with no value) is the same as one left out."""
+        if type(data) is not dict:
+            _fail(field, "expected a mapping")
+        data = {k: v for k, v in data.items() if v is not None or k in
+                self.required or not isinstance(self.kinds.get(k), _Table)}
+        prefix = f"{field}." if field else ""
+        for key in data:
+            if key not in self.kinds:
+                _fail(f"{prefix}{key}", "unknown key (expected one of "
+                      f"{', '.join(self.kinds)})")
+        for key in self.required:
+            if key not in data:
+                _fail(prefix + key, "missing")
+        values = {key: self.kinds[key](value, prefix + key)
+                  for key, value in (self.defaults | data).items()}
+        try:
+            return self.build(**values)
+        except GeometryError as e:  # CameraIntrinsics checks its values
+            _fail(field, e)
+
+
+def _mount(r_robot_cam=FORWARD_CAMERA_ROTATION, t_robot_cam=(0.0, 0.0, 0.0)):
+    return robot_pose_extrinsics(0, 0, 0, r_robot_cam, t_robot_cam)
+
+
+_INTRINSICS = _Table(CameraIntrinsics, {
+    "f_x": _number, "f_y": _number, "c_x": _number, "c_y": _number,
+    "image_width": _integer, "image_height": _integer})
+_RPY = _Table(lambda rpy: rpy, {"rpy": _row("roll", "pitch", "yaw")})
+_CALIBRATION = _Table(
+    lambda intrinsics, extrinsics: (intrinsics, extrinsics),
+    {"intrinsics": _INTRINSICS,
+     "extrinsics": _Table(_mount, {"r_robot_cam": _parse_rotation,
+                                   "t_robot_cam": _row("x", "y", "z")})},
+    defaults={"extrinsics": {}})
+
+_PEDESTRIAN = _Table(Pedestrian, {
+    "id": _integer, "waypoints": _list(_row("t", "x", "y")), "radius": _number,
+    "height": _number, "cluster": _integer, "phase_offset": _number})
+_OCCLUSION = _Table(OcclusionEvent, {
+    "ped_id": _integer, "t_start": _number, "t_end": _number})
+_DRIFT = _Table(DriftEvent, {
+    "ped_id": _integer, "t_start": _number, "t_end": _number,
+    "toward_cluster": _integer, "amount": _number, "ramp": _number})
+_SCENARIO = _Table(Scenario, {
+    "name": _text, "pedestrians": _list(_PEDESTRIAN),
+    "robot_path": _list(_row("t", "x", "y", "theta"), RobotPath),
+    "duration": _number, "frame_rate": _number, "intrinsics": _INTRINSICS,
+    "box_pixel_std": _number, "descriptor_noise_std": _number,
+    "viewpoint_amplitude": _number, "similarity": _number,
+    "descriptor_dim": _integer, "occlusions": _list(_OCCLUSION),
+    "drifts": _list(_DRIFT), "target_id": _integer},
+    defaults={"name": "unnamed", "robot_path": [[0.0, 0.0, 0.0, 0.0]]})
+
+
+def _load(path, read):
+    """read(the data of the YAML file at path); its errors name the path."""
+    with open(path, "rb") as f:  # PyYAML decodes, and refuses bad UTF-8
+        try:
+            data = yaml.load(f, _Loader)
+        except (yaml.YAMLError, RecursionError) as e:  # too deeply nested
+            raise SchemaError(f"{path}: invalid YAML: {e}") from e
+    try:
+        return read(data)
+    except (SchemaError, ScenarioError) as e:
+        raise SchemaError(f"{path}: {e}") from e
 
 
 def load_calibration(path):
     """Read a calibration YAML file into (CameraIntrinsics, the camera mount
     as the Extrinsics of a robot at the origin): each sequence frame's
     robot_pose owns the robot pose, so a calibration holds only the mount."""
-    data = _read_yaml(path)
-    if not isinstance(data, dict) or not isinstance(data.get("intrinsics"), dict):
-        raise SchemaError(f"{path}: field 'intrinsics': missing or not a mapping")
-    try:
-        intrinsics = _parse_intrinsics(data["intrinsics"])
-    except SchemaError as e:
-        raise SchemaError(f"{path}: {e}") from e
-
-    extr = data.get("extrinsics") or {}
-    try:
-        if not isinstance(extr, dict):
-            raise SchemaError("expected a mapping")
-        for key in extr:
-            if key not in ("r_robot_cam", "t_robot_cam"):
-                raise SchemaError(f"field 'extrinsics.{key}': not a camera "
-                                  "mount field (r_robot_cam, t_robot_cam)")
-        R = _parse_rotation(extr.get("r_robot_cam", "forward"),
-                            "extrinsics.r_robot_cam")
-        t = _numbers(extr.get("t_robot_cam", [0, 0, 0]), 3)
-        if t is None:
-            raise SchemaError("field 'extrinsics.t_robot_cam': expected 3 "
-                              f"numbers within ±{_LIMIT:g}")
-        mount = robot_pose_extrinsics(0, 0, 0, R, t)
-        spanning_block(build_observation_model(mount),
-                       "field 'extrinsics.r_robot_cam'")
-    except ValueError as e:  # SchemaError, GeometryError too
-        raise SchemaError(f"{path}: extrinsics: {e}") from e
-    return intrinsics, mount
-
-
-# ---------------------------------------------------------------------------
-# Scenario files
+    return _load(path, _CALIBRATION)
 
 
 def load_scenario(path) -> Scenario:
-    data = _read_yaml(path)
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: expected a mapping at the top level")
-    try:
-        return scenario_from_dict(data)
-    except (ScenarioError, KeyError, TypeError, ValueError, OverflowError) as e:
-        raise SchemaError(f"{path}: {e}") from e
-
-
-def _present(data, types):
-    """The keys of data named in types, each converted by its type; a key
-    the file leaves out keeps the default of the class it is passed to."""
-    return {key: convert(data[key]) for key, convert in types.items()
-            if key in data}
-
-
-def scenario_from_dict(data: dict) -> Scenario:
-    peds = []
-    for i, p in enumerate(data.get("pedestrians", [])):
-        if "waypoints" not in p:
-            raise ScenarioError(f"pedestrians[{i}].waypoints: missing")
-        peds.append(Pedestrian(
-            id=int(p["id"]),
-            waypoints=[tuple(float(v) for v in w) for w in p["waypoints"]],
-            **_present(p, {"radius": float, "height": float, "cluster": int,
-                           "phase_offset": float})))
-    robot = data.get("robot_path", [[0.0, 0.0, 0.0, 0.0]])
-    kwargs = _present(data, {
-        "frame_rate": float, "box_pixel_std": float,
-        "descriptor_noise_std": float, "viewpoint_amplitude": float,
-        "similarity": float, "descriptor_dim": int, "target_id": int})
-    if data.get("intrinsics") is not None:
-        kwargs["intrinsics"] = _parse_intrinsics(data["intrinsics"])
-    scenario = Scenario(
-        name=str(data.get("name", "unnamed")),
-        pedestrians=peds,
-        robot_path=RobotPath([tuple(float(v) for v in w) for w in robot]),
-        duration=float(data["duration"]),
-        occlusions=[OcclusionEvent(int(o["ped_id"]), float(o["t_start"]),
-                                   float(o["t_end"]))
-                    for o in data.get("occlusions", [])],
-        drifts=[DriftEvent(int(d["ped_id"]), float(d["t_start"]),
-                           float(d["t_end"]), int(d["toward_cluster"]),
-                           float(d["amount"]), **_present(d, {"ramp": float}))
-                for d in data.get("drifts", [])],
-        **kwargs)
-    scenario.validate()
-    return scenario
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "name": s.name,
-        "duration": s.duration,
-        "frame_rate": s.frame_rate,
-        "similarity": s.similarity,
-        "box_pixel_std": s.box_pixel_std,
-        "descriptor_noise_std": s.descriptor_noise_std,
-        "viewpoint_amplitude": s.viewpoint_amplitude,
-        "descriptor_dim": s.descriptor_dim,
-        "target_id": s.target_id,
-        "pedestrians": [
-            {"id": p.id, "cluster": p.cluster, "radius": p.radius,
-             "height": p.height, "phase_offset": p.phase_offset,
-             "waypoints": [list(w) for w in p.waypoints]}
-            for p in s.pedestrians],
-        "robot_path": [list(w) for w in s.robot_path.waypoints],
-        "occlusions": [{"ped_id": o.ped_id, "t_start": o.t_start,
-                        "t_end": o.t_end} for o in s.occlusions],
-        "drifts": [{"ped_id": d.ped_id, "t_start": d.t_start, "t_end": d.t_end,
-                    "toward_cluster": d.toward_cluster, "amount": d.amount,
-                    "ramp": d.ramp} for d in s.drifts],
-    }
+    """Read a scenario YAML file: its keys checked by their tables, then its
+    values' ranges by Scenario.validate."""
+    return _load(path, lambda data: _SCENARIO(data).validate())

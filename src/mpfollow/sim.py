@@ -75,9 +75,9 @@ def _check_rows(rows, field, names):
     """Refuse a waypoint row that does not hold one finite value per name."""
     for i, row in enumerate(rows):
         if len(row) != len(names):
-            raise ScenarioError(f"{field}[{i}]: expected [{', '.join(names)}]")
+            raise ScenarioError(f"field '{field}[{i}]': expected [{', '.join(names)}]")
         if not all(map(math.isfinite, row)):
-            raise ScenarioError(f"{field}[{i}]: {list(row)} is not finite")
+            raise ScenarioError(f"field '{field}[{i}]': {list(row)} is not finite")
 
 
 @dataclass
@@ -120,48 +120,54 @@ class Scenario:
     target_id: int = 0
 
     def validate(self):
+        """self, or ScenarioError naming the first field out of range as a
+        scenario file does: a pedestrian or event by its place in its list."""
+        def fail(field, why):
+            raise ScenarioError(f"field '{field}': {why}")
+
         if not 0 < self.frame_rate < math.inf:
-            raise ScenarioError("frame_rate: must be positive and finite")
+            fail("frame_rate", "must be positive and finite")
         if not 0 < self.duration < math.inf:
-            raise ScenarioError("duration: must be positive and finite")
+            fail("duration", "must be positive and finite")
         if not (0.0 <= self.similarity <= 1.0):
-            raise ScenarioError("similarity: must be in [0, 1]")
+            fail("similarity", "must be in [0, 1]")
         clusters = {p.cluster for p in self.pedestrians} | {
             ev.toward_cluster for ev in self.drifts}
         if self.descriptor_dim < 2 * len(clusters) + 1:  # see SyntheticExtractor
-            raise ScenarioError("descriptor_dim: too small for the cluster count")
+            fail("descriptor_dim", "too small for the cluster count")
         for name in ("box_pixel_std", "descriptor_noise_std", "viewpoint_amplitude"):
             if not 0 <= getattr(self, name) < math.inf:
-                raise ScenarioError(f"{name}: must be finite and >= 0")
+                fail(name, "must be finite and >= 0")
         if not self.pedestrians:
-            raise ScenarioError("pedestrians: at least one required")
+            fail("pedestrians", "at least one required")
         ids = [p.id for p in self.pedestrians]
         if len(set(ids)) != len(ids):
-            raise ScenarioError("pedestrians: duplicate ids")
+            fail("pedestrians", "duplicate ids")
         if self.target_id not in ids:
-            raise ScenarioError("target_id: no pedestrian with this id")
+            fail("target_id", "no pedestrian with this id")
         for k, p in enumerate(self.pedestrians):
-            _check_rows(p.waypoints, f"pedestrians[{k}].waypoints", ("t", "x", "y"))
+            field = f"pedestrians[{k}]"
+            _check_rows(p.waypoints, f"{field}.waypoints", ("t", "x", "y"))
             times = [w[0] for w in p.waypoints]
             if not p.waypoints:
-                raise ScenarioError(f"pedestrians[{p.id}].waypoints: empty")
+                fail(f"{field}.waypoints", "empty")
             if any(b < a for a, b in zip(times, times[1:])):
-                raise ScenarioError(
-                    f"pedestrians[{p.id}].waypoints: timestamps not monotone")
-            if not (0 < p.radius < math.inf and 0 < p.height < math.inf):
-                raise ScenarioError(
-                    f"pedestrians[{p.id}]: radius/height must be in (0, inf)")
+                fail(f"{field}.waypoints", "timestamps not monotone")
+            for name in ("radius", "height"):
+                if not 0 < getattr(p, name) < math.inf:
+                    fail(f"{field}.{name}", "must be in (0, inf)")
         if not self.robot_path.waypoints:
-            raise ScenarioError("robot_path: empty")
+            fail("robot_path", "empty")
         _check_rows(self.robot_path.waypoints, "robot_path", ("t", "x", "y", "theta"))
-        for ev in self.occlusions:
+        for k, ev in enumerate(self.occlusions):
             if ev.ped_id not in ids:
-                raise ScenarioError("occlusions: unknown ped_id")
+                fail(f"occlusions[{k}].ped_id", "no pedestrian with this id")
             if ev.t_end < ev.t_start:
-                raise ScenarioError("occlusions: t_end before t_start")
-        for ev in self.drifts:
+                fail(f"occlusions[{k}].t_end", "before t_start")
+        for k, ev in enumerate(self.drifts):
             if ev.ped_id not in ids:
-                raise ScenarioError("drifts: unknown ped_id")
+                fail(f"drifts[{k}].ped_id", "no pedestrian with this id")
+        return self
 
 
 @dataclass

@@ -70,10 +70,12 @@ class TestGenerate:
     @pytest.mark.parametrize("command", ["generate", "validate-config"])
     @pytest.mark.parametrize("rows, message", [
         ("  - id: 0\n    waypoints: [[0.0, 3.0]]\n",
-         "pedestrians[0].waypoints[0]: expected [t, x, y]"),
+         "field 'pedestrians[0].waypoints[0]': expected [t, x, y], numbers "
+         "within ±1e+50"),
         ("  - {id: 0, waypoints: [[0.0, 3.0, 0.0]]}\n"
          "robot_path: [[0.0, 0.0, 0.0, 0.0], [5.0, 1.0, 0.0]]\n",
-         "robot_path[1]: expected [t, x, y, theta]"),
+         "field 'robot_path[1]': expected [t, x, y, theta], numbers within "
+         "±1e+50"),
     ], ids=["pedestrian", "robot"])
     def test_short_waypoint_row_schema_error(self, tmp_path, capsys, command,
                                              rows, message):
@@ -422,6 +424,17 @@ class TestValidateConfig:
         assert code == EXIT_SCHEMA
         assert stderr == f"error[schema]: {p}: field 'intrinsics.f_x': missing\n"
 
+    @pytest.mark.parametrize("kind", ["scenario", "calibration"])
+    @pytest.mark.parametrize("text", [
+        b"name: \xff\n", b"duration: " + b"[" * 3000 + b"]" * 3000 + b"\n"],
+        ids=["undecodable", "too-deep"])
+    def test_unreadable_yaml_schema_error(self, tmp_path, capsys, kind, text):
+        p = tmp_path / "config.yaml"
+        p.write_bytes(text)
+        code, _, stderr = run(capsys, "validate-config", kind, str(p))
+        assert code == EXIT_SCHEMA
+        assert stderr.startswith(f"error[schema]: {p}: invalid YAML: ")
+
     @pytest.mark.parametrize("command", ["generate", "validate-config"])
     @pytest.mark.parametrize("extra, field", [
         ("duration: .inf\n", "duration"), ("duration: .nan\n", "duration"),
@@ -435,14 +448,57 @@ class TestValidateConfig:
          "pedestrians[0].waypoints[0]"),
         ("duration: 1.0\npedestrians:\n"
          "  - {id: 0, radius: .nan, waypoints: [[0.0, 3.0, 0.0]]}\n",
-         "pedestrians[0]"),
+         "pedestrians[0].radius"),
         ("duration: 1.0\ndescriptor_noise_std: .nan\n", "descriptor_noise_std"),
         ("duration: 1.0\ndescriptor_noise_std: -1.0\n", "descriptor_noise_std"),
         ("duration: 1.0\nviewpoint_amplitude: .inf\n", "viewpoint_amplitude"),
         ("duration: 1.0\ndescriptor_dim: 4\npedestrians:\n"
          "  - {id: 0, waypoints: [[0.0, 3.0, 0.0]]}\n"
          "  - {id: 1, cluster: 1, waypoints: [[0.0, 3.0, 1.0]]}\n",
-         "descriptor_dim")])
+         "descriptor_dim"),
+        # Each value is read by the kind its key's table gives: no bool or
+        # text as a number, no bool or fraction as an integer.
+        ("duration: true\n", "duration"),
+        ("duration: 1.0\nframe_rate: '10'\n", "frame_rate"),
+        ("duration: 1.0\npedestrians:\n"
+         "  - {id: 0, radius: true, waypoints: [[0.0, 3.0, 0.0]]}\n",
+         "pedestrians[0].radius"),
+        ("duration: 1.0\ndescriptor_dim: 9.9\n", "descriptor_dim"),
+        ("duration: 1.0\npedestrians:\n"
+         "  - {id: 0, cluster: yes, waypoints: [[0.0, 3.0, 0.0]]}\n",
+         "pedestrians[0].cluster"),
+        ("duration: 1.0\npedestrians:\n"
+         "  - {id: 1.9, waypoints: [[0.0, 3.0, 0.0]]}\n", "pedestrians[0].id"),
+        ("duration: 1.0\npedestrians:\n  - {id: 0, waypoints: 5}\n",
+         "pedestrians[0].waypoints"),
+        ("duration: 1.0\nname: 7\n", "name"),
+        # A key no table holds is refused, not dropped; a required one must
+        # be there.
+        ("duration: 1.0\nbox_pixel_stdev: 3.0\n", "box_pixel_stdev"),
+        ("duration: 1.0\ncolour: red\n", "colour"),
+        ("duration: 1.0\npedestrians:\n"
+         "  - {id: 0, colour: red, waypoints: [[0.0, 3.0, 0.0]]}\n",
+         "pedestrians[0].colour"),
+        ("duration: 1.0\nocclusions: [{ped_id: 0, t_start: 0.0, t_stop: 1.0}]\n",
+         "occlusions[0].t_stop"),
+        ("duration: 1.0\ndrifts: [{ped_id: 0, t_start: 0.0, t_end: 1.0,\n"
+         "  toward_cluster: 1, amount: 0.5, rmap: 1.0}]\n", "drifts[0].rmap"),
+        ("duration: 1.0\nocclusions: [{ped_id: 0, t_start: 0.0}]\n",
+         "occlusions[0].t_end"),
+        ("frame_rate: 10.0\n", "duration"),
+        ("duration: 1.0\npedestrians:\n  - {waypoints: [[0.0, 3.0, 0.0]]}\n",
+         "pedestrians[0].id"),
+        ("duration: 1.0\npedestrians: {id: 0}\n", "pedestrians"),
+        ("duration: 1.0\n# no pedestrians\n", "pedestrians"),
+        # A pedestrian is named by its place in the list, not by its id.
+        ("duration: 1.0\ntarget_id: 7\npedestrians:\n"
+         "  - {id: 7, radius: -1.0, waypoints: [[0.0, 3.0, 0.0]]}\n",
+         "pedestrians[0].radius"),
+        ("duration: 1.0\ntarget_id: 7\npedestrians:\n"
+         "  - {id: 7, waypoints: [[1.0, 3.0, 0.0], [0.0, 3.0, 0.0]]}\n",
+         "pedestrians[0].waypoints"),
+        ("duration: 1.0\nocclusions: [{ped_id: 3, t_start: 0.0, t_end: 1.0}]\n",
+         "occlusions[0].ped_id")])
     def test_bad_scenario_value_schema_error(self, tmp_path, capsys,
                                              command, extra, field):
         # Refused at load by validate-config and generate alike, not by a
@@ -456,7 +512,8 @@ class TestValidateConfig:
                 else ["validate-config", "scenario", str(sc)])
         code, _, stderr = run(capsys, *argv)
         assert code == EXIT_SCHEMA
-        assert stderr.startswith(f"error[schema]: {sc}: {field}")
+        assert stderr.startswith(f"error[schema]: {sc}: field '{field}': ")
+        assert stderr.count("\n") == 1
         assert not (tmp_path / "seq.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["track", "validate-config"])
@@ -467,33 +524,39 @@ class TestValidateConfig:
         ("x", "", "field 'intrinsics.f_x'"),
         ("true", "", "field 'intrinsics.f_x'"),
         ("'500'", "", "field 'intrinsics.f_x'"),
-        ("-500.0", "", "intrinsics: focal lengths"),
+        ("-500.0", "", "field 'intrinsics': focal lengths"),
         # The robot pose is each frame's robot_pose, and nothing else.
         ("500.0", "extrinsics: {r_world_robot: identity}\n",
-         "extrinsics: field 'extrinsics.r_world_robot'"),
+         "field 'extrinsics.r_world_robot'"),
         ("500.0", "extrinsics: {t_world_robot: [1, 2, 0]}\n",
-         "extrinsics: field 'extrinsics.t_world_robot'"),
+         "field 'extrinsics.t_world_robot'"),
         ("500.0", "extrinsics: {t_robot_camera: [1, 2, 3]}\n",
-         "extrinsics: field 'extrinsics.t_robot_camera'"),
+         "field 'extrinsics.t_robot_camera'"),
         # Mounts that see the ground plane edge-on: no position to track.
         ("500.0", "extrinsics: {r_robot_cam: identity}\n",
-         "extrinsics: field 'extrinsics.r_robot_cam'"),
+         "field 'extrinsics.r_robot_cam'"),
         ("500.0", "extrinsics: {r_robot_cam: [1, 0, 0, 0, 1, 0, 0, 0, 1]}\n",
-         "extrinsics: field 'extrinsics.r_robot_cam'"),
+         "field 'extrinsics.r_robot_cam'"),
         ("500.0", "extrinsics: {r_robot_cam: [0, -1, 0, -1, 0, 0, 0, 0, -1]}\n",
-         "extrinsics: field 'extrinsics.r_robot_cam'"),
-        ("500.0", "extrinsics: 5\n", "extrinsics"),
-        ("500.0", "extrinsics: {t_robot_cam: [a, 0, 0]}\n", "extrinsics"),
-        ("500.0", "extrinsics: {r_robot_cam: {rpy: [0, 1]}}\n", "extrinsics"),
+         "field 'extrinsics.r_robot_cam'"),
+        ("500.0", "extrinsics: 5\n", "field 'extrinsics'"),
+        ("500.0", "extrinsics: {t_robot_cam: [a, 0, 0]}\n",
+         "field 'extrinsics.t_robot_cam'"),
+        ("500.0", "extrinsics: {r_robot_cam: {rpy: [0, 1]}}\n",
+         "field 'extrinsics.r_robot_cam.rpy'"),
+        # t_robot_cam indented under r_robot_cam: not a mount at the origin.
+        ("500.0", "extrinsics:\n  r_robot_cam:\n    rpy: [0, 0, 0]\n"
+         "    t_robot_cam: [0, 0, 1]\n",
+         "field 'extrinsics.r_robot_cam.t_robot_cam'"),
         ("500.0", "extrinsics: {t_robot_cam: [.nan, 0, 0]}\n",
-         "extrinsics: field 'extrinsics.t_robot_cam'"),
+         "field 'extrinsics.t_robot_cam'"),
         ("500.0", "extrinsics: {t_world_robot: [0, .inf, 0]}\n",
-         "extrinsics: field 'extrinsics.t_world_robot'"),
+         "field 'extrinsics.t_world_robot'"),
         ("500.0", "extrinsics: {t_robot_cam: [.nan, 0, 0],\n"
          "             t_world_robot: [0, .inf, 0]}\n",
-         "extrinsics: field 'extrinsics.t_world_robot'"),
+         "field 'extrinsics.t_world_robot'"),
         ("500.0", "extrinsics: {t_robot_cam: [0, 0]}\n",
-         "extrinsics: field 'extrinsics.t_robot_cam'"),
+         "field 'extrinsics.t_robot_cam'"),
         (None, "intrinsics:\n", "field 'intrinsics'")])
     def test_bad_calibration_value_schema_error(self, tmp_path, capsys,
                                                 command, f_x, extra, where):

@@ -7,11 +7,13 @@ import pytest
 from mpfollow.evaluation import (
     RANGE_BINS,
     EvaluationError,
+    _gt_target_center,
     metrics_text,
     range_error_stats,
     reid_precision,
     run_experiment,
 )
+from mpfollow.pipeline import FollowPipeline
 from mpfollow.sim import builtin_scenarios, generate
 
 
@@ -118,12 +120,15 @@ class TestRunExperiment:
         # well as with it: the pipeline starts at the origin, camera forward.
         sc = builtin_scenarios()["lab_corridor_like"]
         frames = generate(sc, 0)
-        posed, _, posed_trace = run_experiment(frames, seed=0)
-        bare, _, bare_trace = run_experiment(
-            [dataclasses.replace(f, robot_pose=None) for f in frames], seed=0)
-        assert posed.ap > 0.9
-        assert bare.ap == posed.ap
-        assert [(r["mode"], r["target_track_id"], r["est_center"],
-                 r["n_tracks"]) for r in bare_trace] == \
-            [(r["mode"], r["target_track_id"], r["est_center"],
-              r["n_tracks"]) for r in posed_trace]
+        posed, bare = (FollowPipeline(sc.intrinsics,
+                                      target_person_id=sc.target_id, seed=0)
+                       for _ in range(2))
+        results = [(posed.process_frame(f),
+                    bare.process_frame(dataclasses.replace(f, robot_pose=None)))
+                   for f in frames]
+        assert reid_precision([
+            (f.frame_index,
+             a.target_box.center if a.target_box else None,
+             _gt_target_center(f, sc.target_id))
+            for f, (a, _) in zip(frames, results)]) > 0.9
+        assert [repr(a) for a, _ in results] == [repr(b) for _, b in results]

@@ -1,15 +1,17 @@
 import contextlib
+import dataclasses
 import io
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpfollow import cli
-from mpfollow.geometry import FORWARD_CAMERA_ROTATION
+from mpfollow import cli, seqio
+from mpfollow.geometry import FORWARD_CAMERA_ROTATION, CameraIntrinsics
 from mpfollow.seqio import (
     SEQUENCE_FORMAT,
     SchemaError,
@@ -17,11 +19,18 @@ from mpfollow.seqio import (
     load_calibration,
     load_scenario,
     read_sequence,
-    scenario_from_dict,
-    scenario_to_dict,
     write_sequence,
 )
-from mpfollow.sim import Pedestrian, RobotPath, Scenario, builtin_scenarios, generate
+from mpfollow.sim import (
+    DEFAULT_INTRINSICS,
+    DriftEvent,
+    OcclusionEvent,
+    Pedestrian,
+    RobotPath,
+    Scenario,
+    builtin_scenarios,
+    generate,
+)
 
 
 @pytest.fixture
@@ -198,6 +207,19 @@ class TestCalibration:
         np.testing.assert_array_equal(extr.R_world_robot, np.eye(3))
         np.testing.assert_array_equal(extr.t_world_robot, np.zeros(3))
 
+    @pytest.mark.parametrize("extrinsics", [
+        "extrinsics:\n",
+        "extrinsics:\n  # r_robot_cam: forward\n  # t_robot_cam: [0, 0, 1]\n"])
+    def test_empty_extrinsics_is_the_default_mount(self, tmp_path, extrinsics):
+        p = tmp_path / "calib.yaml"
+        p.write_text(
+            "intrinsics:\n"
+            "  f_x: 500.0\n  f_y: 500.0\n  c_x: 320.0\n  c_y: 240.0\n"
+            "  image_width: 640\n  image_height: 480\n" + extrinsics)
+        _, extr = load_calibration(str(p))
+        np.testing.assert_array_equal(extr.R_robot_cam, FORWARD_CAMERA_ROTATION)
+        np.testing.assert_array_equal(extr.t_robot_cam, np.zeros(3))
+
     def test_missing_intrinsic_field(self, tmp_path):
         p = tmp_path / "calib.yaml"
         p.write_text("intrinsics:\n  f_x: 500.0\n")
@@ -227,23 +249,105 @@ class TestCalibration:
             "  f_x: 500.0\n  f_y: 500.0\n  c_x: 320.0\n  c_y: 240.0\n"
             "  image_width: 640\n  image_height: 480\n"
             f"extrinsics:\n  r_robot_cam: {matrix}\n")
-        with pytest.raises(SchemaError, match=f"extrinsics.r_robot_cam {why}"):
+        with pytest.raises(SchemaError, match="field 'extrinsics.r_robot_cam': "
+                           f"the rotation {why}"):
             load_calibration(str(p))
 
 
+def test_exponent_numbers_are_numbers_in_every_yaml_file(tmp_path):
+    # YAML 1.1 reads 1e-5 as text; both file kinds read it as JSON does.
+    p = tmp_path / "calib.yaml"
+    p.write_text(
+        "intrinsics: {f_x: 5e2, f_y: 5.0E+2, c_x: 320, c_y: 240,\n"
+        "             image_width: 640, image_height: 480}\n"
+        "extrinsics: {t_robot_cam: [1e-5, -2E3, .5e1]}\n")
+    intr, extr = load_calibration(str(p))
+    assert (intr.f_x, intr.f_y) == (500.0, 500.0)
+    np.testing.assert_array_equal(extr.t_robot_cam, [1e-5, -2000.0, 5.0])
+    p = tmp_path / "scenario.yaml"
+    p.write_text("duration: 1e1\ndescriptor_noise_std: 1e-5\n"
+                 "pedestrians: [{id: 0, waypoints: [[0, 3e0, 0]]}]\n")
+    sc = load_scenario(str(p))
+    assert (sc.duration, sc.descriptor_noise_std) == (10.0, 1e-5)
+    assert sc.pedestrians[0].waypoints == [(0.0, 3.0, 0.0)]
+
+
+# Every scenario key set off its default, in a file and in Python.
+EVERY_KEY_YAML = """\
+name: every_key
+duration: 4.0
+frame_rate: 12.5
+intrinsics: {f_x: 610.0, f_y: 590.0, c_x: 330.0, c_y: 250.0,
+             image_width: 640, image_height: 480}
+box_pixel_std: 0.75
+descriptor_noise_std: 0.02
+viewpoint_amplitude: 0.3
+similarity: 0.4
+descriptor_dim: 48
+target_id: 2
+pedestrians:
+  - {id: 2, cluster: 1, radius: 0.3, height: 1.8, phase_offset: 0.5,
+     waypoints: [[0.0, 2.5, 0.4], [4.0, 3.5, -0.2]]}
+  - {id: 5, cluster: 3, radius: 0.2, height: 1.6, phase_offset: 1.5,
+     waypoints: [[0.0, 4.0, -0.6], [4.0, 2.0, 0.6]]}
+robot_path: [[0.0, 0.0, 0.0, 0.0], [4.0, 0.4, 0.1, 0.05]]
+occlusions:
+  - {ped_id: 2, t_start: 1.0, t_end: 1.5}
+drifts:
+  - {ped_id: 5, t_start: 2.0, t_end: 3.5, toward_cluster: 4, amount: 0.6,
+     ramp: 0.5}
+"""
+EVERY_KEY = Scenario(
+    name="every_key", duration=4.0, frame_rate=12.5,
+    intrinsics=CameraIntrinsics(610.0, 590.0, 330.0, 250.0, 640, 480),
+    box_pixel_std=0.75, descriptor_noise_std=0.02, viewpoint_amplitude=0.3,
+    similarity=0.4, descriptor_dim=48, target_id=2,
+    pedestrians=[
+        Pedestrian(2, [(0.0, 2.5, 0.4), (4.0, 3.5, -0.2)], radius=0.3,
+                   height=1.8, cluster=1, phase_offset=0.5),
+        Pedestrian(5, [(0.0, 4.0, -0.6), (4.0, 2.0, 0.6)], radius=0.2,
+                   height=1.6, cluster=3, phase_offset=1.5)],
+    robot_path=RobotPath([(0.0, 0.0, 0.0, 0.0), (4.0, 0.4, 0.1, 0.05)]),
+    occlusions=[OcclusionEvent(2, 1.0, 1.5)],
+    drifts=[DriftEvent(5, 2.0, 3.5, toward_cluster=4, amount=0.6, ramp=0.5)])
+
+
 class TestScenarioFiles:
-    def test_dict_round_trip(self):
-        sc = builtin_scenarios()["corridor1_like"]
-        restored = scenario_from_dict(scenario_to_dict(sc))
-        assert restored.name == sc.name
-        assert restored.similarity == sc.similarity
-        assert len(restored.pedestrians) == len(sc.pedestrians)
-        assert len(restored.occlusions) == len(sc.occlusions)
-        assert len(restored.drifts) == len(sc.drifts)
-        a = generate(sc, seed=0)
-        b = generate(restored, seed=0)
-        for fa, fb in zip(a, b):
-            assert len(fa.detections) == len(fb.detections)
+    def test_every_key_loads_as_built_in_python(self, tmp_path):
+        # A misread key makes the two differ; a key left at its default
+        # would not show it, so every value here is off its default.
+        p = tmp_path / "scenario.yaml"
+        p.write_text(EVERY_KEY_YAML)
+        assert load_scenario(str(p)) == EVERY_KEY
+        for obj in (EVERY_KEY, *EVERY_KEY.pedestrians, *EVERY_KEY.drifts):
+            for f in dataclasses.fields(obj):
+                assert getattr(obj, f.name) != f.default, f.name
+
+    @pytest.mark.parametrize("table, cls", [
+        (seqio._INTRINSICS, CameraIntrinsics), (seqio._PEDESTRIAN, Pedestrian),
+        (seqio._OCCLUSION, OcclusionEvent), (seqio._DRIFT, DriftEvent),
+        (seqio._SCENARIO, Scenario)])
+    def test_table_keys_are_the_dataclass_fields(self, table, cls):
+        # Each schema is written once: a table's keys are its class's fields.
+        assert table.build is cls
+        assert set(table.kinds) == {f.name for f in dataclasses.fields(cls)}
+
+    def test_robot_path_rows_stand_for_robot_path(self):
+        assert [f.name for f in dataclasses.fields(RobotPath)] == ["waypoints"]
+        read = seqio._SCENARIO.kinds["robot_path"]
+        assert read([[0, 1, 2, 3]], "robot_path") == \
+            RobotPath([(0.0, 1.0, 2.0, 3.0)])
+
+    def test_readme_yaml_blocks_load(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```yaml\n(.*?)```", readme.read_text(), re.S)
+        kinds = ["scenario" if "duration:" in b else "calibration"
+                 for b in blocks]
+        assert sorted(kinds) == ["calibration", "scenario"]
+        for kind, block in zip(kinds, blocks):
+            p = tmp_path / f"{kind}.yaml"
+            p.write_text(block)
+            (load_scenario if kind == "scenario" else load_calibration)(str(p))
 
     def test_load_yaml(self, tmp_path):
         p = tmp_path / "scenario.yaml"
@@ -256,6 +360,12 @@ class TestScenarioFiles:
         sc = load_scenario(str(p))
         assert sc.name == "tiny"
         assert len(generate(sc, seed=0)) == 20
+
+    def test_empty_intrinsics_is_the_default_camera(self, tmp_path):
+        p = tmp_path / "scenario.yaml"
+        p.write_text("duration: 2.0\nintrinsics: null\npedestrians:\n"
+                     "  - {id: 0, waypoints: [[0.0, 3.0, 0.0]]}\n")
+        assert load_scenario(str(p)).intrinsics == DEFAULT_INTRINSICS
 
     def test_invalid_scenario_reports_path(self, tmp_path):
         p = tmp_path / "scenario.yaml"

@@ -11,7 +11,12 @@ the digest covers:
 - the bytes ``mpfollow track`` writes for room_like and lab_corridor_like
   sequences by default, with ``--no-reid`` and with ``--mode SLT``;
 - the exit code, stdout and artifacts of ``mpfollow experiment``
-  st-sweep, slt-vs-st and range-accuracy.
+  st-sweep, slt-vs-st and range-accuracy;
+- for a scenario file that sets every key off its default: the repr of
+  the ``Scenario`` it loads to, the bytes ``mpfollow generate`` writes
+  for it, and the bytes ``mpfollow track --calibration`` writes for that
+  sequence with a calibration whose camera is pitched 10 degrees down and
+  raised 1.2 m, so a file reader that misreads a key changes the digest.
 It prints three lines. The first digests all these outputs; two trees
 print the same first line when all of them are the same. The second, the
 decisions digest, leaves out the values of the per-frame scores (it keeps
@@ -36,6 +41,42 @@ MODES = ("ST", "SLT", None)  # None: re-ID off
 TRACKED = ("room_like", "lab_corridor_like")
 TRACK_FLAGS = ((), ("--no-reid",), ("--mode", "SLT"))
 EXPERIMENTS = ("st-sweep", "slt-vs-st", "range-accuracy")
+# Every scenario key off its default. Numbers are plain decimals, which
+# YAML 1.1 and 1.2 read alike, so the digest compares readers of either.
+EVERY_KEY_SCENARIO = """\
+name: every_key
+duration: 6.0
+frame_rate: 12.5
+intrinsics: {f_x: 610.0, f_y: 590.0, c_x: 330.0, c_y: 250.0,
+             image_width: 640, image_height: 480}
+box_pixel_std: 0.75
+descriptor_noise_std: 0.02
+viewpoint_amplitude: 0.3
+similarity: 0.4
+descriptor_dim: 48
+target_id: 2
+pedestrians:
+  - {id: 2, cluster: 1, radius: 0.3, height: 1.8, phase_offset: 0.5,
+     waypoints: [[0.0, 2.5, 0.4], [6.0, 3.5, -0.2]]}
+  - {id: 5, cluster: 3, radius: 0.2, height: 1.6, phase_offset: 1.5,
+     waypoints: [[0.0, 4.0, -0.6], [6.0, 2.0, 0.6]]}
+robot_path: [[0.0, 0.0, 0.0, 0.0], [6.0, 0.4, 0.1, 0.05]]
+occlusions:
+  - {ped_id: 2, t_start: 2.0, t_end: 2.5}
+drifts:
+  - {ped_id: 5, t_start: 3.0, t_end: 5.0, toward_cluster: 4, amount: 0.6,
+     ramp: 0.5}
+"""
+# The forward mount pitched down by 10 degrees, 1.2 m above the robot origin.
+PITCHED_CALIBRATION = """\
+intrinsics: {f_x: 610.0, f_y: 590.0, c_x: 330.0, c_y: 250.0,
+             image_width: 640, image_height: 480}
+extrinsics:
+  r_robot_cam: [0.0, -1.0, 0.0,
+                -0.173648177667, 0.0, -0.984807753012,
+                0.984807753012, 0.0, -0.173648177667]
+  t_robot_cam: [0.0, 1.181769303615, 0.2083778132]
+"""
 
 
 def _import_from(src):
@@ -87,7 +128,7 @@ def _cli(*argv):
 
 def digest(src):
     _import_from(src)
-    from mpfollow import evaluation, pipeline, sim
+    from mpfollow import evaluation, pipeline, seqio, sim
     from mpfollow.reid import ReidConfig
 
     h = _Digests()
@@ -129,6 +170,27 @@ def digest(src):
             code, stdout = _cli("experiment", name, "--out-dir", out_dir)
             h.update(f"experiment {name}|{code}|{stdout}".encode())
             _hash_tree(h, out_dir)
+
+        scenario = os.path.join(tmp, "every_key.yaml")
+        calibration = os.path.join(tmp, "pitched.yaml")
+        for path, text in ((scenario, EVERY_KEY_SCENARIO),
+                           (calibration, PITCHED_CALIBRATION)):
+            with open(path, "w") as f:
+                f.write(text)
+        loaded = repr(seqio.load_scenario(scenario)).encode()
+        h.full.update(loaded)
+        h.decisions.update(loaded)
+        seq = os.path.join(tmp, "every_key.jsonl")
+        code, _ = _cli("generate", scenario, "-o", seq)
+        h.update(f"generate every_key|{code}|".encode())
+        with open(seq, "rb") as f:
+            h.update(f.read())
+        out = os.path.join(tmp, "tracks.jsonl")
+        code, _ = _cli("track", seq, "--calibration", calibration,
+                       "--target-person", "2", "-o", out)
+        h.update(f"track every_key pitched|{code}|".encode())
+        with open(out, "rb") as f:
+            h.update(f.read())
     return h.full.hexdigest(), h.decisions.hexdigest(), h.cli_bytes.hexdigest()
 
 
