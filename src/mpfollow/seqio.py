@@ -1,8 +1,9 @@
 """File formats: sequences, track output, calibration and scenario files.
 
 Sequences are line-delimited JSON, one frame per line; calibration and
-scenario files are YAML. All schemas carry a format version so generated
-and externally supplied data stay interchangeable.
+scenario files are YAML. Every mapping of either, a sequence line or one
+of its detections as much as a scenario, is read by one reader: a table
+of its keys, each with the kind that reads its value.
 """
 
 from __future__ import annotations
@@ -60,35 +61,15 @@ def _atomic_write(path, text):
 
 
 # ---------------------------------------------------------------------------
-# Sequence files
+# The reader: each mapping read by its table
 
 
-def frame_to_record(frame: FrameRecord) -> dict:
-    return {
-        "frame_index": frame.frame_index,
-        "timestamp": round(frame.timestamp, 9),
-        "robot_pose": [round(v, 9) for v in frame.robot_pose],
-        "detections": [
-            {
-                "box": [round(v, 6) for v in det.box.as_array().tolist()],
-                "descriptor": [round(float(v), 7) for v in det.descriptor],
-                "person_id": det.person_id,
-            }
-            for det in frame.detections
-        ],
-        "ground_truth": {str(pid): [round(v, 9) for v in pos]
-                         for pid, pos in frame.pedestrian_positions.items()},
-    }
-
-
-def write_sequence(frames, path):
-    lines = [json.dumps({"format": SEQUENCE_FORMAT})]
-    lines.extend(json.dumps(frame_to_record(f)) for f in frames)
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _fail(field, why):
+    raise SchemaError(f"field '{field}': {why}" if field else why)
 
 
 _LIMIT = 1e50  # beyond physical values; the frame loop's squares stay finite
-_NUMBER = frozenset((int, float))  # JSON true/false load as bool, not a number
+_NUMBER = frozenset((int, float))  # true/false load as bool, not a number
 
 
 def _numbers(values, size):
@@ -98,119 +79,6 @@ def _numbers(values, size):
             and all(map(_LIMIT.__ge__, map(abs, values)))):  # NaN too
         return list(map(float, values))
     return None
-
-
-def _descriptor(values, size):
-    """values as an array if a flat list of (size) numbers with 0 < norm < inf."""
-    try:
-        sum(values)  # a TypeError unless values holds only numbers
-        d = np.fromiter(values, float, len(values))
-    except (TypeError, OverflowError):
-        return None
-    return d if size in (None, d.size) and 0 < d @ d < math.inf else None
-
-
-def record_to_frame(rec, path="<sequence>", line=0, descriptor_size=None):
-    """One sequence line as a FrameRecord, and the descriptor length later
-    lines must keep; SchemaError names the first bad value."""
-    def fail(field, why):
-        raise SchemaError(f"{path}:{line}: field '{field}': {why}")
-
-    if type(rec) is not dict:
-        raise SchemaError(f"{path}:{line}: expected a JSON object")
-    if type(rec.get("frame_index")) is not int:
-        fail("frame_index", "expected an integer")
-    timestamp = (_numbers([rec.get("timestamp")], 1) or fail(
-        "timestamp", f"expected a number within ±{_LIMIT:g}"))[0]
-    if type(rec.get("detections")) is not list:
-        fail("detections", "expected a list")
-    detections = []
-    for i, d in enumerate(rec["detections"]):
-        field = f"detections[{i}]"
-        if type(d) is not dict:
-            fail(field, "expected an object")
-        box = (_numbers(d.get("box"), 4) or fail(
-            f"{field}.box", f"expected 4 numbers within ±{_LIMIT:g}"))
-        # Corners are written to 6 decimals, which can narrow a box by 1e-6 px.
-        if not (box[2] - box[0] >= MIN_BOX_WIDTH - 2e-6 and box[3] > box[1]):
-            fail(f"{field}.box", f"under {MIN_BOX_WIDTH:g} px wide or v_br <= v_tl")
-        desc = d.get("descriptor")
-        if desc is not None:
-            desc = _descriptor(desc, descriptor_size)
-            if desc is None:
-                fail(f"{field}.descriptor", "expected a flat list of numbers, "
-                     "as long as the sequence's first, with 0 < norm < inf")
-            descriptor_size = desc.size
-        if type(d.get("person_id")) not in (int, type(None)):
-            fail(f"{field}.person_id", "expected an integer or null")
-        detections.append(Detection(BoundingBox(*box), desc, d.get("person_id")))
-    pose = rec.get("robot_pose")
-    if pose is not None:
-        pose = tuple(_numbers(pose, 3) or fail(
-            "robot_pose", f"expected [x, y, theta] within ±{_LIMIT:g}"))
-    gt = rec.get("ground_truth")
-    if type(gt) not in (dict, type(None)):
-        fail("ground_truth", "expected an object")
-    positions = {}
-    for pid, pos in (gt or {}).items():
-        xy = pid.removeprefix("-").isdecimal() and _numbers(pos, 2)
-        positions[int(pid)] = tuple(xy or fail(
-            f"ground_truth.{pid}", f"expected int id: [x, y] within ±{_LIMIT:g}"))
-    return (FrameRecord(rec["frame_index"], timestamp, detections, pose,
-                        positions), descriptor_size)
-
-
-def read_sequence(path):
-    frames, size = [], None
-    with open(path) as f, np.errstate(over="ignore"):  # _descriptor refuses overflow
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as e:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON: {e}") from e
-            if (lineno == 1 and type(rec) is dict and "format" in rec
-                    and "frame_index" not in rec):
-                if rec["format"] != SEQUENCE_FORMAT:
-                    raise SchemaError(
-                        f"{path}:1: unsupported format '{rec['format']}'")
-                continue
-            frame, size = record_to_frame(rec, path, lineno, size)
-            if frames and not frame.timestamp > frames[-1].timestamp:
-                raise SchemaError(
-                    f"{path}:{lineno}: field 'timestamp': {frame.timestamp} "
-                    f"is not after the previous frame's {frames[-1].timestamp}")
-            frames.append(frame)
-    if not frames:
-        raise SchemaError(f"{path}: no frames")
-    return frames
-
-
-def write_tracks(rows, path):
-    """rows: iterable of dicts with frame_index, track_id, x, y, box."""
-    lines = [json.dumps(r) for r in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# YAML files: calibrations and scenarios, each mapping read by its table
-
-
-class _Loader(yaml.SafeLoader):
-    """YAML 1.1, which reads a float only with a dot and a signed exponent,
-    but with 1e-5, 1e5 and 1E+3 read as numbers, as in YAML 1.2 and JSON."""
-
-
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"))
-
-
-def _fail(field, why):
-    raise SchemaError(f"field '{field}': {why}" if field else why)
 
 
 # A kind reads one value of a mapping: kind(value, field) is the value to
@@ -245,6 +113,180 @@ def _list(kind, build=list):
     return read
 
 
+class _Table:
+    """The keys of one mapping, each with the kind that reads its value, and
+    build, called with the values read as keywords. defaults holds, in file
+    terms, values for keys that build needs and a file may leave out; a key
+    that build has no default for and defaults lacks is required."""
+
+    def __init__(self, build, kinds, defaults=None):
+        self.build, self.kinds, self.defaults = build, kinds, defaults or {}
+        params = inspect.signature(build).parameters.values()
+        self.required = [p.name for p in params if p.default is p.empty
+                         and p.name not in self.defaults]
+        # null is the key left out where nothing else can be meant: an
+        # optional mapping, or a key whose absence build reads as None.
+        self.nullable = {p.name for p in params if p.default is None} | {
+            k for k, kind in kinds.items()
+            if isinstance(kind, _Table) and k not in self.required}
+
+    def __call__(self, data, field=""):
+        """build(**values read from data); SchemaError names the first
+        unknown key, missing key or bad value."""
+        if type(data) is not dict:
+            _fail(field, "expected a mapping")
+        data = {k: v for k, v in data.items()
+                if v is not None or k not in self.nullable}
+        prefix = f"{field}." if field else ""
+        for key in data:
+            if key not in self.kinds:
+                _fail(prefix + key, "unknown key (expected one of "
+                      f"{', '.join(self.kinds)})")
+        for key in self.required:
+            if key not in data:
+                _fail(prefix + key, "missing")
+        values = {key: self.kinds[key](value, prefix + key) for key, value in
+                  (self.defaults | data).items()}
+        try:
+            return self.build(**values)
+        except GeometryError as e:  # CameraIntrinsics checks its values
+            _fail(field, e)
+
+
+# ---------------------------------------------------------------------------
+# Sequence files
+
+
+def frame_to_record(frame: FrameRecord) -> dict:
+    return {
+        "frame_index": frame.frame_index,
+        "timestamp": round(frame.timestamp, 9),
+        "robot_pose": [round(v, 9) for v in frame.robot_pose],
+        "detections": [
+            {
+                "box": [round(v, 6) for v in det.box.as_array().tolist()],
+                "descriptor": [round(float(v), 7) for v in det.descriptor],
+                "person_id": det.person_id,
+            }
+            for det in frame.detections
+        ],
+        "ground_truth": {str(pid): [round(v, 9) for v in pos]
+                         for pid, pos in frame.pedestrian_positions.items()},
+    }
+
+
+def write_sequence(frames, path):
+    lines = [json.dumps({"format": SEQUENCE_FORMAT})]
+    lines.extend(json.dumps(frame_to_record(f)) for f in frames)
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _box(value, field):
+    """A box of 4 numbers, at least MIN_BOX_WIDTH wide, with v_br > v_tl."""
+    u_tl, v_tl, u_br, v_br = _numbers(value, 4) or _fail(
+        field, f"expected 4 numbers within ±{_LIMIT:g}")
+    # Corners are written to 6 decimals, which can narrow a box by 1e-6 px.
+    if not (u_br - u_tl >= MIN_BOX_WIDTH - 2e-6 and v_br > v_tl):
+        _fail(field, f"under {MIN_BOX_WIDTH:g} px wide or v_br <= v_tl")
+    return BoundingBox(u_tl, v_tl, u_br, v_br)
+
+
+def _ground_truth(value, field):
+    """[x, y] positions by integer id, written as text such as "0" or "-1"."""
+    if type(value) is not dict:
+        _fail(field, "expected a mapping")
+    positions = {}
+    for pid, pos in value.items():
+        xy = pid.removeprefix("-").isdecimal() and _numbers(pos, 2)
+        positions[int(pid)] = tuple(xy or _fail(
+            f"{field}.{pid}", f"expected int id: [x, y] within ±{_LIMIT:g}"))
+    return positions
+
+
+def _frame(frame_index, timestamp, detections, robot_pose=None,
+           ground_truth=None):
+    return FrameRecord(frame_index, timestamp, detections, robot_pose,
+                       ground_truth or {})
+
+
+def _frame_table():
+    """The table of a sequence line; its descriptors keep the first's length."""
+    size = None
+
+    def descriptor(value, field):
+        """A flat list of numbers with 0 < norm < inf, as a float array."""
+        nonlocal size
+        try:
+            sum(value)  # a TypeError unless value holds only numbers
+            d = np.fromiter(value, float, len(value))
+        except (TypeError, OverflowError):
+            d = None
+        if d is None or size not in (None, d.size) or not 0 < d @ d < math.inf:
+            _fail(field, "expected a flat list of numbers, as long as the "
+                  "sequence's first, with 0 < norm < inf")
+        size = d.size
+        return d
+
+    detection = _Table(Detection, {
+        "box": _box, "descriptor": descriptor, "person_id": _integer})
+    return _Table(_frame, {
+        "frame_index": _integer, "timestamp": _number,
+        "detections": _list(detection), "robot_pose": _row("x", "y", "theta"),
+        "ground_truth": _ground_truth})
+
+
+def read_sequence(path):
+    """The frames of a sequence file; SchemaError names file, line and field."""
+    frames, read = [], _frame_table()
+    with open(path, "rb") as f, np.errstate(over="ignore"):  # norms refuse it
+        for lineno, line in enumerate(f, start=1):
+            if line.isspace():
+                continue
+            try:
+                rec = json.loads(line.decode())  # UnicodeDecodeError too
+            except (ValueError, RecursionError) as e:
+                raise SchemaError(f"{path}:{lineno}: invalid JSON: {e}") from e
+            if (lineno == 1 and type(rec) is dict and "format" in rec
+                    and "frame_index" not in rec):
+                if rec["format"] != SEQUENCE_FORMAT:
+                    raise SchemaError(
+                        f"{path}:1: unsupported format '{rec['format']}'")
+                continue
+            try:
+                frame = read(rec)
+            except SchemaError as e:
+                raise SchemaError(f"{path}:{lineno}: {e}") from e
+            if frames and not frame.timestamp > frames[-1].timestamp:
+                raise SchemaError(
+                    f"{path}:{lineno}: field 'timestamp': {frame.timestamp} "
+                    f"is not after the previous frame's {frames[-1].timestamp}")
+            frames.append(frame)
+    if not frames:
+        raise SchemaError(f"{path}: no frames")
+    return frames
+
+
+def write_tracks(rows, path):
+    """rows: iterable of dicts with frame_index, track_id, x, y, box."""
+    lines = [json.dumps(r) for r in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# YAML files: calibrations and scenarios
+
+
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1, which reads a float only with a dot and a signed exponent,
+    but with 1e-5, 1e5 and 1E+3 read as numbers, as in YAML 1.2 and JSON."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def _parse_rotation(value, field):
     """A mount rotation: 'forward', {rpy: [3 numbers]} or 9 numbers
     (row-major). One given by numbers must be a rotation matrix, and the
@@ -271,42 +313,6 @@ def _parse_rotation(value, field):
     except GeometryError as e:
         raise SchemaError(str(e)) from e
     return R
-
-
-class _Table:
-    """One YAML mapping's keys, each with the kind that reads its value, and
-    build, called with the values read as keywords. defaults holds, in file
-    terms, values for keys that build needs and a file may leave out; a key
-    that build has no default for and defaults lacks is required."""
-
-    def __init__(self, build, kinds, defaults=None):
-        self.build, self.kinds, self.defaults = build, kinds, defaults or {}
-        self.required = [
-            p.name for p in inspect.signature(build).parameters.values()
-            if p.default is p.empty and p.name not in self.defaults]
-
-    def __call__(self, data, field=""):
-        """build(**values read from data); SchemaError names the first
-        unknown key, missing key or bad value. An optional mapping left
-        empty (`extrinsics:` with no value) is the same as one left out."""
-        if type(data) is not dict:
-            _fail(field, "expected a mapping")
-        data = {k: v for k, v in data.items() if v is not None or k in
-                self.required or not isinstance(self.kinds.get(k), _Table)}
-        prefix = f"{field}." if field else ""
-        for key in data:
-            if key not in self.kinds:
-                _fail(f"{prefix}{key}", "unknown key (expected one of "
-                      f"{', '.join(self.kinds)})")
-        for key in self.required:
-            if key not in data:
-                _fail(prefix + key, "missing")
-        values = {key: self.kinds[key](value, prefix + key)
-                  for key, value in (self.defaults | data).items()}
-        try:
-            return self.build(**values)
-        except GeometryError as e:  # CameraIntrinsics checks its values
-            _fail(field, e)
 
 
 def _mount(r_robot_cam=FORWARD_CAMERA_ROTATION, t_robot_cam=(0.0, 0.0, 0.0)):

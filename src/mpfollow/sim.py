@@ -29,6 +29,7 @@ DEFAULT_INTRINSICS = CameraIntrinsics(
     image_width=1280, image_height=720)
 
 OVERLAP_OCCLUSION_THRESHOLD = 0.7  # most of a box a nearer box may hide
+MAX_DESCRIPTOR_DIM, MAX_FRAMES = 65536, 1_000_000  # what generate may build
 
 
 @dataclass
@@ -127,14 +128,18 @@ class Scenario:
 
         if not 0 < self.frame_rate < math.inf:
             fail("frame_rate", "must be positive and finite")
-        if not 0 < self.duration < math.inf:
-            fail("duration", "must be positive and finite")
+        # generate makes round(duration * frame_rate) frames, 1 to MAX_FRAMES
+        if not 0.5 < self.duration * self.frame_rate <= MAX_FRAMES + 0.5:
+            fail("duration", "must be positive and give 1 to "
+                 f"{MAX_FRAMES} frames at frame_rate")
         if not (0.0 <= self.similarity <= 1.0):
             fail("similarity", "must be in [0, 1]")
         clusters = {p.cluster for p in self.pedestrians} | {
             ev.toward_cluster for ev in self.drifts}
-        if self.descriptor_dim < 2 * len(clusters) + 1:  # see SyntheticExtractor
-            fail("descriptor_dim", "too small for the cluster count")
+        # SyntheticExtractor needs 2 dimensions per cluster and one more.
+        if not 2 * len(clusters) + 1 <= self.descriptor_dim <= MAX_DESCRIPTOR_DIM:
+            fail("descriptor_dim", "must be from 2 x clusters + 1 to "
+                 f"{MAX_DESCRIPTOR_DIM}")
         for name in ("box_pixel_std", "descriptor_noise_std", "viewpoint_amplitude"):
             if not 0 <= getattr(self, name) < math.inf:
                 fail(name, "must be finite and >= 0")
@@ -173,8 +178,8 @@ class Scenario:
 @dataclass
 class Detection:
     box: BoundingBox
-    descriptor: np.ndarray
-    person_id: int
+    descriptor: np.ndarray | None = None
+    person_id: int | None = None
 
 
 @dataclass

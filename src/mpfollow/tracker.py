@@ -219,36 +219,33 @@ def _min_cost_assignment(cost):
     """
     transpose = len(cost[0]) < len(cost)
     C = [list(row) for row in (zip(*cost) if transpose else cost)]
-    nr = len(C)
-    # A search scans from the last column down and on a tie prefers a free
-    # one, so when each row's first minimum is in a column of its own, each
-    # search stops there at once and leaves v at 0: it picks these columns.
-    col4row = [row.index(min(row)) for row in C]
-    if len(set(col4row)) < nr:
-        col4row = _augmenting_paths(C)
-    if transpose:
-        cols = sorted(range(nr), key=col4row.__getitem__)
-        return [col4row[c] for c in cols], cols
-    return list(range(nr)), col4row
-
-
-def _augmenting_paths(C):
-    """Columns of the rows of C (nr <= nc) by one augmenting path per row."""
-    nr, nc = len(C), len(C[0])
+    nr, nc = len(C), len(C[0])  # nr <= nc: each row of C gets a column
     u, v = [0.0] * nr, [0.0] * nc
     path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
-    for cur in range(nr):
+    # A search scans from the last column down and on a tie prefers a free
+    # one, so while v is all 0, the search from a row whose first minimum
+    # is in a free column stops there at once: u is that minimum and v
+    # stays 0. The leading rows for which that holds are settled so.
+    first = 0
+    for row in C:
+        lowest = min(row)
+        j = row.index(lowest)
+        if row4col[j] != -1:
+            break
+        u[first], col4row[first], row4col[j] = lowest, j, first
+        first += 1
+    for cur in range(first, nr):
         # Shortest augmenting path from row cur to a free column (sink).
         min_val = 0.0
         # Scanned from the last column down, as scipy does: a constant
         # matrix then gives the identity assignment.
         remaining = list(range(nc - 1, -1, -1))
-        rows_seen, cols_seen = [False] * nr, [False] * nc
+        rows_seen, cols_seen = [], []
         shortest = [math.inf] * nc
         i, sink = cur, -1
         while sink == -1:
             index, lowest = -1, math.inf
-            rows_seen[i] = True
+            rows_seen.append(i)
             row, ui = C[i], u[i]
             for it, j in enumerate(remaining):
                 r = min_val + row[j] - ui - v[j]
@@ -265,16 +262,14 @@ def _augmenting_paths(C):
                 sink = j
             else:
                 i = row4col[j]
-            cols_seen[j] = True
+            cols_seen.append(j)
             remaining[index] = remaining[-1]
             remaining.pop()
         u[cur] += min_val
-        for i in range(nr):
-            if rows_seen[i] and i != cur:
-                u[i] += min_val - shortest[col4row[i]]
-        for j in range(nc):
-            if cols_seen[j]:
-                v[j] -= min_val - shortest[j]
+        for i in rows_seen[1:]:  # rows_seen[0] is cur
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
         j = sink
         while True:  # flip the path's assignments
             i = path[j]
@@ -282,7 +277,10 @@ def _augmenting_paths(C):
             col4row[i], j = j, col4row[i]
             if i == cur:
                 break
-    return col4row
+    if transpose:
+        cols = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[c] for c in cols], cols
+    return list(range(nr)), col4row
 
 
 def associate(tracks, measurements, H, gate):

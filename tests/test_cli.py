@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import mpfollow
-from mpfollow import evaluation
+from mpfollow import evaluation, sim
 from mpfollow.cli import EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 from mpfollow.reid import ReidConfig
 from mpfollow.seqio import load_scenario
@@ -87,6 +87,41 @@ class TestGenerate:
         code, _, stderr = run(capsys, *argv)
         assert code == EXIT_SCHEMA
         assert stderr == f"error[schema]: {sc}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["generate", "validate-config"])
+    @pytest.mark.parametrize("sizes, field", [
+        ("duration: 1.0\ndescriptor_dim: 1000000000000\n", "descriptor_dim"),
+        ("duration: 1.0e+40\nframe_rate: 1.0e+9\n", "duration")],
+        ids=["descriptor_dim", "frames"])
+    def test_oversize_scenario_schema_error(self, tmp_path, capsys,
+                                            monkeypatch, command, sizes, field):
+        # Refused at load, before any frame or descriptor basis is built.
+        monkeypatch.setattr(sim, "generate",
+                            lambda *args: pytest.fail("generate ran"))
+        sc = tmp_path / "sc.yaml"
+        sc.write_text("name: huge\npedestrians:\n"
+                      "  - {id: 0, waypoints: [[0.0, 3.0, 0.0]]}\n" + sizes)
+        argv = (["generate", str(sc), "-o", str(tmp_path / "seq.jsonl")]
+                if command == "generate"
+                else ["validate-config", "scenario", str(sc)])
+        code, _, stderr = run(capsys, *argv)
+        assert code == EXIT_SCHEMA
+        assert stderr.startswith(f"error[schema]: {sc}: field '{field}': ")
+        assert not (tmp_path / "seq.jsonl").exists()
+
+    @pytest.mark.parametrize("sizes, valid", [
+        ("duration: 1.0\ndescriptor_dim: 65536\n", True),
+        ("duration: 1.0\ndescriptor_dim: 65537\n", False),
+        ("duration: 100000.0\n", True),  # 1,000,000 frames at 10 Hz
+        ("duration: 100000.1\n", False),
+        ("duration: 0.06\n", True),  # one frame
+        ("duration: 0.04\n", False)])  # none
+    def test_scenario_size_limits(self, tmp_path, capsys, sizes, valid):
+        sc = tmp_path / "sc.yaml"
+        sc.write_text("name: edge\npedestrians:\n"
+                      "  - {id: 0, waypoints: [[0.0, 3.0, 0.0]]}\n" + sizes)
+        code, _, _ = run(capsys, "validate-config", "scenario", str(sc))
+        assert code == (EXIT_OK if valid else EXIT_SCHEMA)
 
     def test_bad_scenario_yaml_schema_error(self, tmp_path, capsys):
         sc = tmp_path / "sc.yaml"
@@ -220,6 +255,39 @@ class TestTrack:
         assert code == EXIT_SCHEMA
         assert f"{seq}:22: field 'timestamp':" in stderr
         assert not (tmp_path / "t.jsonl").exists()
+
+    @pytest.mark.parametrize("in_detection, key, new_key", [
+        (False, "robot_pose", "robot_poze"),
+        (True, "descriptor", "descriptors"),
+        (True, None, "colour")], ids=["frame", "detection", "added"])
+    def test_unknown_key_schema_error(self, tmp_path, capsys, in_detection,
+                                      key, new_key):
+        # A key that its table lacks is refused at every level, as in YAML
+        # files, not dropped: a dropped robot_pose would keep the previous
+        # frame's pose, a dropped descriptor would leave its box unscored.
+        seq = tmp_path / "room.jsonl"
+        assert run(capsys, "generate", "room_like", "-o", str(seq))[0] == EXIT_OK
+        lines = seq.read_text().splitlines()
+        rec = json.loads(lines[6])
+        owner = rec["detections"][0] if in_detection else rec
+        owner[new_key] = owner.pop(key) if key else "red"
+        lines[6] = json.dumps(rec)
+        seq.write_text("\n".join(lines) + "\n")
+        code, _, stderr = run(capsys, "track", str(seq),
+                              "-o", str(tmp_path / "t.jsonl"))
+        assert code == EXIT_SCHEMA
+        where = f"detections[0].{new_key}" if in_detection else new_key
+        assert stderr.startswith(f"error[schema]: {seq}:7: field '{where}': "
+                                 "unknown key (expected one of ")
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_non_utf8_sequence_schema_error(self, tmp_path):
+        seq = tmp_path / "seq.jsonl"
+        seq.write_bytes(b"\xff\n")
+        proc = run_process("track", str(seq), "-o", str(tmp_path / "t.jsonl"))
+        assert proc.returncode == EXIT_SCHEMA
+        assert proc.stderr.startswith(f"error[schema]: {seq}:1: ")
+        assert "Traceback" not in proc.stderr
 
     def test_print_config(self, tmp_path, capsys, sequence):
         code, stdout, _ = run(capsys, "track", str(sequence),

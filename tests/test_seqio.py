@@ -171,6 +171,56 @@ class TestSequenceErrors:
         with pytest.raises(SchemaError, match=re.escape(f"{p}:2: field '{where}")):
             read_sequence(str(p))
 
+    @pytest.mark.parametrize("line, where", [
+        ('{"timestamp": 0.0, "detections": []}', "frame_index"),
+        ('{"frame_index": 0, "detections": []}', "timestamp"),
+        ('{"frame_index": 0, "timestamp": 0.0}', "detections"),
+        ('{"frame_index": 0, "timestamp": 0.0, "detections": '
+         '[{"descriptor": [1.0]}]}', "detections[0].box")])
+    def test_missing_key_reads_missing(self, tmp_path, line, where):
+        p = tmp_path / "bad.jsonl"
+        p.write_text(line + "\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{p}:1: field '{where}': missing")):
+            read_sequence(str(p))
+
+    def test_null_optional_key_reads_as_absent(self, tmp_path):
+        line = {"frame_index": 0, "timestamp": 0.0,
+                "detections": [{"box": [600, 200, 680, 500]}]}
+        nulls = json.loads(json.dumps(line))
+        nulls.update(robot_pose=None, ground_truth=None)
+        nulls["detections"][0].update(descriptor=None, person_id=None)
+        p = tmp_path / "seq.jsonl"
+        for rec in (line, nulls):
+            p.write_text(json.dumps(rec) + "\n")
+            (frame,) = read_sequence(str(p))
+            assert (frame.robot_pose, frame.pedestrian_positions) == (None, {})
+            (det,) = frame.detections
+            assert (det.descriptor, det.person_id) == (None, None)
+
+    def test_room_like_reads_back_with_the_built_types(self, tmp_path):
+        # What the frame loop and evaluation were written against.
+        p = tmp_path / "room.jsonl"
+        write_sequence(generate(builtin_scenarios()["room_like"], 0), str(p))
+        frames = read_sequence(str(p))
+        assert all(type(f.frame_index) is int and type(f.timestamp) is float
+                   for f in frames)
+        for f in frames:
+            assert type(f.robot_pose) is tuple and len(f.robot_pose) == 3
+            assert all(type(v) is float for v in f.robot_pose)
+            assert type(f.pedestrian_positions) is dict
+            for pid, pos in f.pedestrian_positions.items():
+                assert type(pid) is int and type(pos) is tuple
+                assert [type(v) for v in pos] == [float, float]
+            for d in f.detections:
+                assert [type(v) for v in (d.box.u_tl, d.box.v_tl, d.box.u_br,
+                                          d.box.v_br)] == [float] * 4
+                assert type(d.descriptor) is np.ndarray
+                assert d.descriptor.dtype == np.float64
+                assert d.descriptor.shape == (512,)
+                assert type(d.person_id) is int
+        assert sum(len(f.detections) for f in frames) > 0
+
     def test_increasing_timestamps_accepted(self, tmp_path):
         p = tmp_path / "ok.jsonl"
         p.write_text('{"frame_index": 0, "timestamp": -1.0, "detections": []}\n'

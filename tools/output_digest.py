@@ -16,7 +16,12 @@ the digest covers:
   the ``Scenario`` it loads to, the bytes ``mpfollow generate`` writes
   for it, and the bytes ``mpfollow track --calibration`` writes for that
   sequence with a calibration whose camera is pitched 10 degrees down and
-  raised 1.2 m, so a file reader that misreads a key changes the digest.
+  raised 1.2 m, so a file reader that misreads a key changes the digest;
+- for that sequence with each optional key (``descriptor``,
+  ``person_id``, ``robot_pose``, ``ground_truth``) left out on some lines
+  and ``null`` on others: the repr of the frames it loads to, and the
+  bytes ``mpfollow track`` writes for it with and without re-ID, so a
+  sequence reader that misreads an optional key changes the digest.
 It prints three lines. The first digests all these outputs; two trees
 print the same first line when all of them are the same. The second, the
 decisions digest, leaves out the values of the per-frame scores (it keeps
@@ -33,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -77,6 +83,28 @@ extrinsics:
                 0.984807753012, 0.0, -0.173648177667]
   t_robot_cam: [0.0, 1.181769303615, 0.2083778132]
 """
+
+
+# A sequence's optional keys, and whether each is a detection's key.
+OPTIONAL_KEYS = (("descriptor", True), ("person_id", True),
+                 ("robot_pose", False), ("ground_truth", False))
+
+
+def _without_optional_keys(lines):
+    """Sequence lines on which, in turn, one optional key is left out or is
+    null; every ninth frame keeps all of them."""
+    out = lines[:1]
+    for k, line in enumerate(lines[1:]):
+        rec, variant = json.loads(line), k % 9
+        if variant:
+            key, in_detection = OPTIONAL_KEYS[(variant - 1) // 2]
+            for owner in rec["detections"][:1] if in_detection else [rec]:
+                if variant % 2:
+                    del owner[key]
+                else:
+                    owner[key] = None
+        out.append(json.dumps(rec))
+    return out
 
 
 def _import_from(src):
@@ -191,6 +219,21 @@ def digest(src):
         h.update(f"track every_key pitched|{code}|".encode())
         with open(out, "rb") as f:
             h.update(f.read())
+
+        with open(seq) as f:
+            lines = _without_optional_keys(f.read().splitlines())
+        seq = os.path.join(tmp, "optional_keys.jsonl")
+        with open(seq, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        loaded = repr(seqio.read_sequence(seq)).encode()
+        h.full.update(loaded)
+        h.decisions.update(loaded)
+        for flags in ((), ("--no-reid",)):
+            code, _ = _cli("track", seq, "--calibration", calibration,
+                           "--target-person", "2", "-o", out, *flags)
+            h.update(f"track optional_keys {' '.join(flags)}|{code}|".encode())
+            with open(out, "rb") as f:
+                h.update(f.read())
     return h.full.hexdigest(), h.decisions.hexdigest(), h.cli_bytes.hexdigest()
 
 
