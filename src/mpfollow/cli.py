@@ -122,7 +122,7 @@ def cmd_track(args):
                               and tid == result.target_track_id) or None,
             })
     out = args.out or os.path.join(_out_dir(args), "tracks.jsonl")
-    seqio.write_tracks(rows, out)
+    seqio.write_jsonl(rows, out)
     print(f"wrote {len(rows)} track rows to {out}")
     return EXIT_OK
 
@@ -232,6 +232,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # validate-config takes no seed
+            raise CliError("usage", "--seed must be at least 0", EXIT_USAGE)
         return args.func(args)
     except CliError as e:
         print(f"error[{e.category}]: {e}", file=sys.stderr)
@@ -239,7 +241,7 @@ def main(argv=None):
     except seqio.SchemaError as e:  # a malformed input file
         print(f"error[schema]: {e}", file=sys.stderr)
         return EXIT_SCHEMA
-    except FileNotFoundError as e:
+    except OSError as e:  # a path missing, a directory, unwritable, ...
         print(f"error[io]: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

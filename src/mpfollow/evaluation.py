@@ -8,7 +8,6 @@ the absolute range error binned by true range.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -90,20 +89,12 @@ def _gt_target_center(record, target_id):
     return None
 
 
-def _true_range(record, target_id):
-    pos = record.pedestrian_positions.get(target_id)
-    if pos is None or record.robot_pose is None:
+def _range(record, xy):
+    """The robot's distance to xy in the frame; None if xy or the pose is."""
+    if xy is None or record.robot_pose is None:
         return None
     rx, ry, _ = record.robot_pose
-    return math.hypot(pos[0] - rx, pos[1] - ry)
-
-
-def _estimated_range(result, record):
-    if result.target_position is None or record.robot_pose is None:
-        return None
-    rx, ry, _ = record.robot_pose
-    x, y = result.target_position
-    return math.hypot(x - rx, y - ry)
+    return math.hypot(xy[0] - rx, xy[1] - ry)
 
 
 def run_experiment(scenario: Scenario, tracker_cfg=None, reid_cfg=None, seed=0,
@@ -125,14 +116,12 @@ def run_experiment(scenario: Scenario, tracker_cfg=None, reid_cfg=None, seed=0,
         est_center = result.target_box.center if result.target_box else None
         reid_frames.append((record.frame_index, est_center, gt_center))
 
-        true_range = _true_range(record, target_id)
-        est_range = _estimated_range(result, record)
+        true_range = _range(record, record.pedestrian_positions.get(target_id))
+        est_range = _range(record, result.target_position)
         if est_range is None and true_range is not None and result.tracks:
             # Range accuracy is a tracker property; with re-ID disabled (or
             # before designation) fall back to the track nearest in range.
-            rx, ry, _ = record.robot_pose
-            ranges = [math.hypot(x - rx, y - ry)
-                      for _, x, y, _ in result.tracks]
+            ranges = [_range(record, (x, y)) for _, x, y, _ in result.tracks]
             est_range = min(ranges, key=lambda r: abs(r - true_range))
         if true_range is not None:
             range_pairs.append((est_range, true_range))
@@ -174,9 +163,8 @@ def metrics_text(reid_result: ReidResult, stats: RangeErrorStats) -> str:
 
 
 def write_artifacts(out_dir, reid_result, stats, trace):
-    from .seqio import _atomic_write
+    from .seqio import _atomic_write, write_jsonl
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "metrics.txt"),
                   metrics_text(reid_result, stats))
-    _atomic_write(os.path.join(out_dir, "trace.jsonl"),
-                  "\n".join(json.dumps(row) for row in trace) + "\n")
+    write_jsonl(trace, os.path.join(out_dir, "trace.jsonl"))

@@ -283,7 +283,7 @@ def label_frame_samples(target_track_id, track_descriptors, frame_index,
 
 
 # ---------------------------------------------------------------------------
-# Descriptor extractors
+# Descriptor extractor
 
 
 class PassthroughExtractor:
@@ -291,69 +291,3 @@ class PassthroughExtractor:
 
     def extract(self, vector):
         return normalize_descriptor(vector)
-
-
-class SyntheticExtractor:
-    """Generates descriptors for simulated identities.
-
-    Each appearance cluster gets a unit mean vector; every pair of cluster
-    means has cosine similarity equal to the configured value. A per-frame
-    observation blends the mean with a smoothly drifting viewpoint
-    component and isotropic noise, then renormalizes. It needs
-    similarity in [0, 1] and dim >= 2 * n_clusters + 1.
-    """
-
-    def __init__(self, dim=512, n_clusters=2, similarity=0.0,
-                 viewpoint_amplitude=0.1, noise_std=0.05, seed=0):
-        self.dim = dim
-        self.similarity = similarity
-        self.viewpoint_amplitude = viewpoint_amplitude
-        self.noise_std = noise_std
-        self._rng = np.random.default_rng(seed)
-        # Means m_i = sqrt(s) * u + sqrt(1-s) * e_i with u, e_i orthonormal,
-        # which gives every pair cosine similarity exactly s.
-        shared = np.zeros(dim)
-        shared[0] = 1.0
-        self.means = []
-        for i in range(n_clusters):
-            e = np.zeros(dim)
-            e[i + 1] = 1.0
-            self.means.append(math.sqrt(similarity) * shared
-                              + math.sqrt(1.0 - similarity) * e)
-        # Each cluster drifts along its own viewpoint axis, so viewpoint
-        # variation carries no cross-identity signal.
-        self._view_axes = []
-        for i in range(n_clusters):
-            axis = np.zeros(dim)
-            axis[n_clusters + 1 + i] = 1.0
-            self._view_axes.append(axis)
-
-    def mean(self, cluster):
-        return self.means[cluster].copy()
-
-    def extract(self, cluster, phase=0.0, blend_toward=None, blend=0.0):
-        """Descriptor for one observation of a cluster identity.
-
-        phase drives the smooth viewpoint drift; blend slerps the cluster
-        mean toward another cluster's mean (appearance-change events).
-        """
-        effective = cluster
-        m = self.means[cluster]
-        if blend_toward is not None and blend > 0.0:
-            m = _slerp(m, self.means[blend_toward], blend)
-            if blend >= 0.5:
-                effective = blend_toward
-        angle = self.viewpoint_amplitude * math.sin(phase)
-        v = math.cos(angle) * m + math.sin(angle) * self._view_axes[effective]
-        v = v + self._rng.normal(0.0, self.noise_std, self.dim)
-        return normalize_descriptor(v)
-
-
-def _slerp(a, b, t):
-    """Spherical interpolation between unit vectors."""
-    dot = float(np.clip(a @ b, -1.0, 1.0))
-    omega = math.acos(dot)
-    if omega < 1e-9:
-        return a.copy()
-    so = math.sin(omega)
-    return (math.sin((1 - t) * omega) / so) * a + (math.sin(t * omega) / so) * b

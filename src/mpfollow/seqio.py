@@ -14,6 +14,7 @@ import math
 import os
 import re
 import tempfile
+from itertools import chain
 
 import numpy as np
 import yaml
@@ -175,10 +176,16 @@ def frame_to_record(frame: FrameRecord) -> dict:
     }
 
 
+def write_jsonl(rows, path):
+    """Write rows as JSON lines; no rows write one empty line."""
+    _atomic_write(path, "\n".join(map(json.dumps, rows)) + "\n")
+
+
 def write_sequence(frames, path):
-    lines = [json.dumps({"format": SEQUENCE_FORMAT})]
-    lines.extend(json.dumps(frame_to_record(f)) for f in frames)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """The header, then one line per frame; each record is dropped once
+    dumped, so the frames' records are never all held at once."""
+    write_jsonl(chain([{"format": SEQUENCE_FORMAT}],
+                      map(frame_to_record, frames)), path)
 
 
 def _box(value, field):
@@ -235,6 +242,14 @@ def _frame_table():
         "ground_truth": _ground_truth})
 
 
+def _format(value, field):
+    if value != SEQUENCE_FORMAT:
+        _fail(field, f"unsupported format '{value}'")
+
+
+_HEADER = _Table(lambda format: None, {"format": _format})
+
+
 def read_sequence(path):
     """The frames of a sequence file; SchemaError names file, line and field."""
     frames, read = [], _frame_table()
@@ -246,30 +261,20 @@ def read_sequence(path):
                 rec = json.loads(line.decode())  # UnicodeDecodeError too
             except (ValueError, RecursionError) as e:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON: {e}") from e
-            if (lineno == 1 and type(rec) is dict and "format" in rec
-                    and "frame_index" not in rec):
-                if rec["format"] != SEQUENCE_FORMAT:
-                    raise SchemaError(
-                        f"{path}:1: unsupported format '{rec['format']}'")
-                continue
             try:
+                if lineno == 1 and type(rec) is dict and "format" in rec:
+                    _HEADER(rec)
+                    continue
                 frame = read(rec)
+                if frames and not frame.timestamp > frames[-1].timestamp:
+                    _fail("timestamp", f"{frame.timestamp} is not after the "
+                          f"previous frame's {frames[-1].timestamp}")
             except SchemaError as e:
                 raise SchemaError(f"{path}:{lineno}: {e}") from e
-            if frames and not frame.timestamp > frames[-1].timestamp:
-                raise SchemaError(
-                    f"{path}:{lineno}: field 'timestamp': {frame.timestamp} "
-                    f"is not after the previous frame's {frames[-1].timestamp}")
             frames.append(frame)
     if not frames:
         raise SchemaError(f"{path}: no frames")
     return frames
-
-
-def write_tracks(rows, path):
-    """rows: iterable of dicts with frame_index, track_id, x, y, box."""
-    lines = [json.dumps(r) for r in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry
 from .controller import ControlCommand
 from .geometry import BoundingBox, CameraIntrinsics, NotVisibleError
-from .reid import SyntheticExtractor
+from .reid import normalize_descriptor
 
 
 class ScenarioError(ValueError):
@@ -200,6 +200,68 @@ def _coverage(inner: BoundingBox, by: BoundingBox) -> float:
     return iw * ih / (inner.width * inner.height)
 
 
+class SyntheticExtractor:
+    """Generates descriptors for simulated identities.
+
+    Each appearance cluster gets a unit mean vector; every pair of cluster
+    means has cosine similarity equal to the configured value. A per-frame
+    observation blends the mean with a smoothly drifting viewpoint
+    component and isotropic noise, then renormalizes. It needs
+    similarity in [0, 1] and dim >= 2 * n_clusters + 1.
+    """
+
+    def __init__(self, dim=512, n_clusters=2, similarity=0.0,
+                 viewpoint_amplitude=0.1, noise_std=0.05, seed=0):
+        self.dim = dim
+        self.viewpoint_amplitude = viewpoint_amplitude
+        self.noise_std = noise_std
+        self._rng = np.random.default_rng(seed)
+        # Means m_i = sqrt(s) * u + sqrt(1-s) * e_i with u, e_i orthonormal,
+        # which gives every pair cosine similarity exactly s.
+        shared = np.zeros(dim)
+        shared[0] = 1.0
+        self.means = []
+        for i in range(n_clusters):
+            e = np.zeros(dim)
+            e[i + 1] = 1.0
+            self.means.append(math.sqrt(similarity) * shared
+                              + math.sqrt(1.0 - similarity) * e)
+        # Each cluster drifts along its own viewpoint axis, so viewpoint
+        # variation carries no cross-identity signal: cluster i's axis is
+        # e_{n_clusters + 1 + i}.
+        self._view_axes = np.eye(n_clusters, dim, k=n_clusters + 1)
+
+    def mean(self, cluster):
+        return self.means[cluster].copy()
+
+    def extract(self, cluster, phase=0.0, blend_toward=None, blend=0.0):
+        """Descriptor for one observation of a cluster identity.
+
+        phase drives the smooth viewpoint drift; blend slerps the cluster
+        mean toward another cluster's mean (appearance-change events).
+        """
+        effective = cluster
+        m = self.means[cluster]
+        if blend_toward is not None and blend > 0.0:
+            m = _slerp(m, self.means[blend_toward], blend)
+            if blend >= 0.5:
+                effective = blend_toward
+        angle = self.viewpoint_amplitude * math.sin(phase)
+        v = math.cos(angle) * m + math.sin(angle) * self._view_axes[effective]
+        v = v + self._rng.normal(0.0, self.noise_std, self.dim)
+        return normalize_descriptor(v)
+
+
+def _slerp(a, b, t):
+    """Spherical interpolation between unit vectors."""
+    dot = float(np.clip(a @ b, -1.0, 1.0))
+    omega = math.acos(dot)
+    if omega < 1e-9:
+        return a.copy()
+    so = math.sin(omega)
+    return (math.sin((1 - t) * omega) / so) * a + (math.sin(t * omega) / so) * b
+
+
 def generate(scenario: Scenario, seed: int):
     """Render a scenario to a list of FrameRecord, deterministically."""
     scenario.validate()
@@ -249,8 +311,6 @@ def generate(scenario: Scenario, seed: int):
             if scenario.box_pixel_std > 0:
                 box = _jitter_box(box, scenario.box_pixel_std,
                                   scenario.intrinsics, rng)
-                if box is None:
-                    continue
             blend_toward, blend = None, 0.0
             for ev in scenario.drifts:
                 if ev.ped_id == p.id:

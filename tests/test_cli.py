@@ -9,7 +9,7 @@ import pytest
 
 import mpfollow
 from mpfollow import evaluation, sim
-from mpfollow.cli import EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
+from mpfollow.cli import EXIT_OK, EXIT_RUNTIME, EXIT_SCHEMA, EXIT_USAGE, main
 from mpfollow.reid import ReidConfig
 from mpfollow.seqio import load_scenario
 from mpfollow.tracker import TrackerConfig
@@ -279,6 +279,20 @@ class TestTrack:
         where = f"detections[0].{new_key}" if in_detection else new_key
         assert stderr.startswith(f"error[schema]: {seq}:7: field '{where}': "
                                  "unknown key (expected one of ")
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_header_extra_key_schema_error(self, tmp_path, capsys, sequence):
+        # The header is read by its table like every other mapping, so a
+        # key it lacks is refused rather than skipped with the line.
+        lines = sequence.read_text().splitlines()
+        lines[0] = '{"format": "mpfollow-seq-1", "colour": 1}'
+        seq = tmp_path / "colour.jsonl"
+        seq.write_text("\n".join(lines) + "\n")
+        code, _, stderr = run(capsys, "track", str(seq),
+                              "-o", str(tmp_path / "t.jsonl"))
+        assert code == EXIT_SCHEMA
+        assert stderr.startswith(f"error[schema]: {seq}:1: field 'colour': "
+                                 "unknown key (expected one of format)")
         assert not (tmp_path / "t.jsonl").exists()
 
     def test_non_utf8_sequence_schema_error(self, tmp_path):
@@ -666,3 +680,38 @@ class TestValidateConfig:
         assert stderr == (f"error[schema]: {path}: field 'intrinsics.{field}': "
                           "expected an integer\n")
         assert not (tmp_path / "t.jsonl").exists()
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", ["generate", "track", "experiment"])
+    def test_negative_seed_usage_error(self, tmp_path, capsys, command):
+        # Refused before anything is read: the sequence named here is absent.
+        source = {"generate": ["room_like", "-o"],
+                  "track": [str(tmp_path / "absent.jsonl"), "-o"],
+                  "experiment": ["room_like", "--out-dir"]}[command]
+        out = tmp_path / "out"
+        code, _, stderr = run(capsys, command, *source, str(out),
+                              "--seed", "-1")
+        assert code == EXIT_USAGE
+        assert stderr == "error[usage]: --seed must be at least 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["track -o dir", "track dir",
+                                      "experiment --out-dir file"])
+    def test_os_error_on_a_path_exits_4(self, tmp_path, capsys, case):
+        seq = tmp_path / "seq.jsonl"
+        seq.write_text(ONE_FRAME_SEQUENCE)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        argv = {"track -o dir": ["track", str(seq), "--no-reid",
+                                 "-o", str(tmp_path / "dir")],
+                "track dir": ["track", str(tmp_path / "dir"), "--no-reid",
+                              "-o", str(tmp_path / "t.jsonl")],
+                "experiment --out-dir file": [
+                    "experiment", "lab_corridor_like",
+                    "--out-dir", str(tmp_path / "file")]}[case]
+        code, _, stderr = run(capsys, *argv)
+        assert code == EXIT_RUNTIME
+        assert stderr.startswith("error[io]: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dir", "file", "seq.jsonl"]

@@ -17,7 +17,6 @@ from mpfollow.reid import (
     ReidError,
     RidgeClassifier,
     SampleSet,
-    SyntheticExtractor,
     UntrainedClassifierError,
     label_frame_samples,
     normalize_descriptor,
@@ -26,6 +25,7 @@ from mpfollow.reid import (
     train,
     update_samples,
 )
+from mpfollow.sim import SyntheticExtractor
 
 
 def ridge_gradient_descent(X, labels, lam, lr=None, iters=200000, tol=1e-12):

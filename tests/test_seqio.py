@@ -96,6 +96,19 @@ class TestSequenceErrors:
         with pytest.raises(SchemaError, match="unsupported format"):
             read_sequence(str(p))
 
+    @pytest.mark.parametrize("header, why", [
+        ('{"format": 1}', "field 'format': unsupported format '1'"),
+        ('{"format": "mpfollow-seq-1", "colour": 1}',
+         "field 'colour': unknown key (expected one of format)")],
+        ids=["number", "extra-key"])
+    def test_header_read_by_its_table(self, tmp_path, header, why):
+        p = tmp_path / "bad.jsonl"
+        p.write_text(header + "\n"
+                     '{"frame_index": 0, "timestamp": 0.0, "detections": []}\n')
+        with pytest.raises(SchemaError) as e:
+            read_sequence(str(p))
+        assert str(e.value) == f"{p}:1: {why}"
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.jsonl"
         p.write_text("")
