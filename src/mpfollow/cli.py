@@ -141,6 +141,7 @@ def cmd_experiment(args):
     if name in SWEEPS and (args.mode is not None or args.capacity is not None):
         raise CliError("config", f"experiment {name} sets --mode and "
                        "--capacity itself", EXIT_USAGE)
+    os.makedirs(out_dir, exist_ok=True)  # a bad --out-dir fails before any run
     _print_config(args, tracker_cfg, reid_cfg)
     if name in SWEEPS:
         scenario, header, runs = SWEEPS[name]

@@ -244,8 +244,6 @@ def project_person(world_pos, r: float, h: float, intr: CameraIntrinsics,
 
     u_tl = intr.f_x * left[0] / left[1] + intr.c_x
     u_br = intr.f_x * right[0] / right[1] + intr.c_x
-    if u_tl > u_br:
-        u_tl, u_br = u_br, u_tl
     v_tl = intr.f_y * top_c[1] / top_c[2] + intr.c_y
     v_br = intr.f_y * base_c[1] / base_c[2] + intr.c_y
     if v_tl > v_br:

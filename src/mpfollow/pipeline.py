@@ -76,79 +76,64 @@ class FollowPipeline:
         dets = DetectionSet([d.box for d in record.detections],
                             record.timestamp)
         _, matched = self.tracker.step(dets)
-        associations = {tid: record.detections[k].box
-                        for tid, k in matched.items()}
+        seen = {tid: record.detections[k] for tid, k in matched.items()}
         if not self.reid_enabled:
-            return self._result(None, associations, {})
+            return self._result(None, seen, {})
 
-        track_desc, track_person = {}, {}
-        for tid, k in matched.items():
-            det = record.detections[k]
-            if det.descriptor is not None:
-                track_desc[tid] = self.extractor.extract(det.descriptor)
-                track_person[tid] = det.person_id
-
+        track_desc = {tid: self.extractor.extract(det.descriptor)
+                      for tid, det in seen.items()
+                      if det.descriptor is not None}
         scores = {}
         if self.classifier.trained:
             scores = {tid: reid.score(self.classifier, desc)
                       for tid, desc in track_desc.items()}
 
-        target = None
         if not self._bootstrapped:
-            target = self._try_bootstrap(track_person)
+            # Operator-style target designation by ground-truth person id.
+            target = next((tid for tid in track_desc if seen[tid].person_id
+                           == self.target_person_id), None)
+            if target is not None:
+                self._bootstrapped = True
+                self.state.mode = FollowerMode.FOLLOWING
+                self.state.target_track_id = target
         elif self.classifier.trained:
             self.state, target = reid.step_state_machine(
-                self.state, scores, list(track_desc.keys()), self.reid_cfg)
+                self.state, scores, list(track_desc), self.reid_cfg)
         else:
             # Classifier could not be trained yet (e.g. no negatives seen);
             # trust pure tracking of the designated target while it lasts.
             tid = self.state.target_track_id
-            target = tid if tid in associations else None
+            target = tid if tid in seen else None
             if target is None:
                 self.state.mode = FollowerMode.RE_ID
                 self.state.target_track_id = None
 
         if target is not None:
-            self._learn(target, track_desc, record.frame_index, associations)
-        return self._result(target, associations, scores)
+            self._learn(target, track_desc, record.frame_index, seen)
+        return self._result(target, seen, scores)
 
-    def _try_bootstrap(self, track_person):
-        """Operator-style target designation by ground-truth person id."""
-        for tid, pid in track_person.items():
-            if pid == self.target_person_id:
-                self.state.mode = FollowerMode.FOLLOWING
-                self.state.target_track_id = tid
-                self._bootstrapped = True
-                return tid
-        return None
+    def _learn(self, target_tid, track_desc, frame_index, seen):
+        # Negatives are taken nearest the target in the image first.
+        cx, cy = seen[target_tid].box.center
 
-    def _learn(self, target_tid, track_desc, frame_index, associations):
-        order = self._negatives_by_image_distance(target_tid, associations)
-        samples = reid.label_frame_samples(target_tid, track_desc, frame_index,
-                                           negative_order=order)
+        def distance(tid):
+            u, v = seen[tid].box.center
+            return (u - cx) ** 2 + (v - cy) ** 2, tid
+        samples = reid.label_frame_samples(
+            target_tid, track_desc, frame_index,
+            negative_order=sorted(seen, key=distance))
         if samples:
             reid.update_samples(self.sample_set, samples)
             reid.train(self.classifier, self.sample_set)
 
-    def _negatives_by_image_distance(self, target_tid, associations):
-        cx, cy = associations[target_tid].center
-        others = [(tid, box) for tid, box in associations.items()
-                  if tid != target_tid]
-        others.sort(key=lambda item: (
-            (item[1].center[0] - cx) ** 2 + (item[1].center[1] - cy) ** 2,
-            item[0]))
-        return [tid for tid, _ in others]
-
-    def _result(self, target, associations, scores):
-        rows = []
-        for t in self.tracker.confirmed_tracks():
-            box = associations.get(t.id)
-            rows.append((t.id, t.mean[0], t.mean[1], box))
+    def _result(self, target, seen, scores):
         # A target is always a track matched this frame, so it has a row.
-        target_box = target_pos = None
-        for tid, x, y, box in rows:
-            if tid == target:
-                target_box, target_pos = box, (x, y)
+        rows, target_box, target_pos = [], None, None
+        for t in self.tracker.confirmed_tracks():
+            box = seen[t.id].box if t.id in seen else None
+            rows.append((t.id, t.mean[0], t.mean[1], box))
+            if t.id == target:
+                target_box, target_pos = box, (t.mean[0], t.mean[1])
         return FrameResult(
             mode=self.state.mode.value,
             target_track_id=target,

@@ -86,16 +86,11 @@ class SampleSet:
 
     def __init__(self, capacity, mode="ST", rng=None):
         self.mode = mode
-        if mode == "SLT":
-            self.long_capacity = capacity // 2
-            self.short_capacity = capacity - self.long_capacity
-        else:
-            self.long_capacity = 0
-            self.short_capacity = capacity
-        self.short_term = deque(maxlen=self.short_capacity)
-        self.long_term = []
-        self._short_rows = deque()
-        self._long_rows = []
+        self.long_capacity = capacity // 2 if mode == "SLT" else 0
+        self.short_capacity = capacity - self.long_capacity
+        self._short_rows = deque()    # the FIFO's rows, oldest first
+        self._long_rows = []          # the reservoir's rows, by slot
+        self._at = [None] * capacity  # the sample in each row
         self._seen_positives = 0
         self._rng = rng or np.random.default_rng(0)
         self.X = None                 # (capacity, d), allocated by the first add
@@ -122,6 +117,7 @@ class SampleSet:
             for row in self._place(sample):
                 self.X[row] = v
                 self.y[row] = sample.label
+                self._at[row] = sample
                 written.add(row)
         rows = sorted(written)
         n = len(self)
@@ -131,31 +127,38 @@ class SampleSet:
 
     def _place(self, sample):
         """Rows the sample takes: its FIFO row, plus a reservoir row if kept."""
-        if len(self.short_term) == self.short_capacity:
+        if len(self._short_rows) == self.short_capacity:
             row = self._short_rows.popleft()
         else:
             row = len(self)
-        self.short_term.append(sample)
         self._short_rows.append(row)
         rows = [row]
         if self.mode == "SLT" and sample.label == 1:
             self._seen_positives += 1
-            if len(self.long_term) < self.long_capacity:
+            if len(self._long_rows) < self.long_capacity:
                 rows.append(len(self))
-                self.long_term.append(sample)
                 self._long_rows.append(rows[-1])
             else:
                 k = self._rng.integers(0, self._seen_positives)
                 if k < self.long_capacity:
-                    self.long_term[k] = sample
                     rows.append(self._long_rows[k])
         return rows
 
+    @property
+    def short_term(self):
+        """The FIFO's samples, oldest first."""
+        return tuple(self._at[row] for row in self._short_rows)
+
+    @property
+    def long_term(self):
+        """The reservoir's samples, by slot."""
+        return tuple(self._at[row] for row in self._long_rows)
+
     def samples(self):
-        return list(self.short_term) + list(self.long_term)
+        return [*self.short_term, *self.long_term]
 
     def __len__(self):
-        return len(self.short_term) + len(self.long_term)
+        return len(self._short_rows) + len(self._long_rows)
 
 
 def update_samples(sample_set: SampleSet, samples) -> SampleSet:
@@ -250,7 +253,7 @@ def step_state_machine(state: FollowerState, track_scores: dict,
             hits[tid] = state.consecutive_hits.get(tid, 0) + 1
         else:
             hits[tid] = 0
-    state.consecutive_hits = {t: min(h, cfg.n_id) for t, h in hits.items()}
+    state.consecutive_hits = hits
 
     winners = [t for t, h in hits.items() if h >= cfg.n_id]
     if winners:

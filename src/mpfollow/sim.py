@@ -164,14 +164,19 @@ class Scenario:
         if not self.robot_path.waypoints:
             fail("robot_path", "empty")
         _check_rows(self.robot_path.waypoints, "robot_path", ("t", "x", "y", "theta"))
-        for k, ev in enumerate(self.occlusions):
-            if ev.ped_id not in ids:
-                fail(f"occlusions[{k}].ped_id", "no pedestrian with this id")
-            if ev.t_end < ev.t_start:
-                fail(f"occlusions[{k}].t_end", "before t_start")
+        for key, events in (("occlusions", self.occlusions),
+                            ("drifts", self.drifts)):
+            for k, ev in enumerate(events):
+                if ev.ped_id not in ids:
+                    fail(f"{key}[{k}].ped_id", "no pedestrian with this id")
+                if ev.t_end < ev.t_start:
+                    fail(f"{key}[{k}].t_end", "before t_start")
         for k, ev in enumerate(self.drifts):
-            if ev.ped_id not in ids:
-                fail(f"drifts[{k}].ped_id", "no pedestrian with this id")
+            # An amount above 1 slerps past the other cluster's mean.
+            if not 0.0 <= ev.amount <= 1.0:
+                fail(f"drifts[{k}].amount", "must be in [0, 1]")
+            if not 0 <= ev.ramp < math.inf:
+                fail(f"drifts[{k}].ramp", "must be finite and >= 0")
         return self
 
 
@@ -216,16 +221,10 @@ class SyntheticExtractor:
         self.viewpoint_amplitude = viewpoint_amplitude
         self.noise_std = noise_std
         self._rng = np.random.default_rng(seed)
-        # Means m_i = sqrt(s) * u + sqrt(1-s) * e_i with u, e_i orthonormal,
-        # which gives every pair cosine similarity exactly s.
-        shared = np.zeros(dim)
-        shared[0] = 1.0
-        self.means = []
-        for i in range(n_clusters):
-            e = np.zeros(dim)
-            e[i + 1] = 1.0
-            self.means.append(math.sqrt(similarity) * shared
-                              + math.sqrt(1.0 - similarity) * e)
+        # Row i of means is m_i = sqrt(s) * e_0 + sqrt(1-s) * e_{i+1}, so
+        # every pair of cluster means has cosine similarity exactly s.
+        self.means = (math.sqrt(similarity) * np.eye(1, dim)
+                      + math.sqrt(1.0 - similarity) * np.eye(n_clusters, dim, k=1))
         # Each cluster drifts along its own viewpoint axis, so viewpoint
         # variation carries no cross-identity signal: cluster i's axis is
         # e_{n_clusters + 1 + i}.
@@ -364,7 +363,6 @@ def step_plant(pose, command: ControlCommand, dt):
 def _lateral_walk(rng, t0, t1, x0, x1, amplitude=0.3, step_s=2.0):
     """Waypoints sweeping x0 -> x1 with a seeded random lateral wander."""
     wps = []
-    t = t0
     n = max(2, int((t1 - t0) / step_s) + 1)
     for i in range(n):
         t = t0 + (t1 - t0) * i / (n - 1)
@@ -374,96 +372,71 @@ def _lateral_walk(rng, t0, t1, x0, x1, amplitude=0.3, step_s=2.0):
     return wps
 
 
+def _two_people(name, duration, similarity, *, target, other, occlusions,
+                drifts=()):
+    """A static robot watching the target (id 0, cluster 0) and one other
+    person (id 1, cluster 1); occlusions are the target's (t_start, t_end)."""
+    return Scenario(
+        name=name,
+        pedestrians=[
+            Pedestrian(id=0, cluster=0, waypoints=target),
+            Pedestrian(id=1, cluster=1, phase_offset=2.0, waypoints=other),
+        ],
+        robot_path=RobotPath([(0.0, 0.0, 0.0, 0.0)]),
+        duration=duration,
+        similarity=similarity,
+        box_pixel_std=0.5,
+        occlusions=[OcclusionEvent(0, *span) for span in occlusions],
+        drifts=list(drifts),
+    )
+
+
 def builtin_scenarios():
     """Named scenarios covering the attribute grid used for evaluation."""
-    static_robot = RobotPath([(0.0, 0.0, 0.0, 0.0)])
-    scenarios = {}
-
-    # Severe long-term occlusion (two events), preceded by a stretch where
-    # both people collapse toward a shared indistinct appearance (cluster 2),
-    # flooding recent samples with uninformative observations. No crossing.
-    scenarios["corridor1_like"] = Scenario(
-        name="corridor1_like",
-        pedestrians=[
-            Pedestrian(id=0, cluster=0, waypoints=[
-                (0.0, 3.0, 0.6), (60.0, 3.0, 0.6)]),
-            Pedestrian(id=1, cluster=1, phase_offset=2.0, waypoints=[
-                (0.0, 3.0, -0.8), (60.0, 3.0, -0.8)]),
-        ],
-        robot_path=static_robot,
-        duration=60.0,
-        similarity=0.5,
-        box_pixel_std=0.5,
-        drifts=[DriftEvent(ped_id=0, t_start=10.0, t_end=20.0,
-                           toward_cluster=2, amount=1.0, ramp=4.0)],
-        occlusions=[OcclusionEvent(0, 20.0, 26.0),
-                    OcclusionEvent(0, 40.0, 46.0)],
-    )
-
-    # One long-term occlusion, a mutual crossing and strong distance change.
-    scenarios["corridor2_like"] = Scenario(
-        name="corridor2_like",
-        pedestrians=[
-            Pedestrian(id=0, cluster=0, waypoints=[
-                (0.0, 2.0, 0.8), (10.0, 4.5, 0.8), (14.0, 4.5, -0.8),
-                (25.0, 2.0, -0.8), (35.0, 5.0, -0.8), (45.0, 2.5, -0.8)]),
-            Pedestrian(id=1, cluster=1, phase_offset=2.0, waypoints=[
-                (0.0, 2.0, -0.8), (10.0, 4.5, -0.8), (14.0, 4.5, 0.8),
-                (45.0, 4.5, 0.8)]),
-        ],
-        robot_path=static_robot,
-        duration=45.0,
-        similarity=0.5,
-        box_pixel_std=0.5,
-        occlusions=[OcclusionEvent(0, 28.0, 32.0)],
-    )
-
-    # One long-term occlusion plus a crossing, milder distance change.
-    scenarios["lab_corridor_like"] = Scenario(
-        name="lab_corridor_like",
-        pedestrians=[
-            Pedestrian(id=0, cluster=0, waypoints=[
-                (0.0, 2.5, 0.8), (12.0, 3.5, 0.8), (16.0, 3.5, -0.8),
-                (45.0, 3.0, -0.8)]),
-            Pedestrian(id=1, cluster=1, phase_offset=2.0, waypoints=[
-                (0.0, 2.5, -0.8), (12.0, 3.5, -0.8), (16.0, 3.5, 0.8),
-                (45.0, 3.5, 0.8)]),
-        ],
-        robot_path=static_robot,
-        duration=45.0,
-        similarity=0.5,
-        box_pixel_std=0.5,
-        occlusions=[OcclusionEvent(0, 24.0, 28.0)],
-    )
-
-    # Highly similar appearance, two long-term occlusions, no crossing.
-    scenarios["room_like"] = Scenario(
-        name="room_like",
-        pedestrians=[
-            Pedestrian(id=0, cluster=0, waypoints=[
-                (0.0, 2.5, 0.6), (60.0, 2.5, 0.6)]),
-            Pedestrian(id=1, cluster=1, phase_offset=2.0, waypoints=[
-                (0.0, 2.5, -0.8), (60.0, 2.5, -0.8)]),
-        ],
-        robot_path=static_robot,
-        duration=60.0,
-        similarity=0.9,
-        box_pixel_std=0.5,
-        occlusions=[OcclusionEvent(0, 15.0, 21.0),
-                    OcclusionEvent(0, 38.0, 44.0)],
-    )
-
-    # Single target sweeping the 0.5-7.0 m range with lateral wander,
-    # for the range-accuracy study.
     rng = np.random.default_rng(7)
     out = _lateral_walk(rng, 0.0, 30.0, 0.6, 7.0)
     back = _lateral_walk(rng, 30.0, 60.0, 7.0, 0.6)
-    scenarios["range_sweep"] = Scenario(
-        name="range_sweep",
-        pedestrians=[Pedestrian(id=0, cluster=0, waypoints=out + back[1:])],
-        robot_path=static_robot,
-        duration=60.0,
-        similarity=0.0,
-        box_pixel_std=1.0,
-    )
-    return scenarios
+    return {sc.name: sc for sc in (
+        # Severe long-term occlusion (two events), after a stretch where both
+        # people collapse toward a shared indistinct appearance (cluster 2),
+        # which floods recent samples with uninformative views. No crossing.
+        _two_people(
+            "corridor1_like", 60.0, 0.5,
+            target=[(0.0, 3.0, 0.6), (60.0, 3.0, 0.6)],
+            other=[(0.0, 3.0, -0.8), (60.0, 3.0, -0.8)],
+            occlusions=[(20.0, 26.0), (40.0, 46.0)],
+            drifts=[DriftEvent(ped_id=0, t_start=10.0, t_end=20.0,
+                               toward_cluster=2, amount=1.0, ramp=4.0)]),
+        # One long-term occlusion, a mutual crossing, strong distance change.
+        _two_people(
+            "corridor2_like", 45.0, 0.5,
+            target=[(0.0, 2.0, 0.8), (10.0, 4.5, 0.8), (14.0, 4.5, -0.8),
+                    (25.0, 2.0, -0.8), (35.0, 5.0, -0.8), (45.0, 2.5, -0.8)],
+            other=[(0.0, 2.0, -0.8), (10.0, 4.5, -0.8), (14.0, 4.5, 0.8),
+                   (45.0, 4.5, 0.8)],
+            occlusions=[(28.0, 32.0)]),
+        # One long-term occlusion plus a crossing, milder distance change.
+        _two_people(
+            "lab_corridor_like", 45.0, 0.5,
+            target=[(0.0, 2.5, 0.8), (12.0, 3.5, 0.8), (16.0, 3.5, -0.8),
+                    (45.0, 3.0, -0.8)],
+            other=[(0.0, 2.5, -0.8), (12.0, 3.5, -0.8), (16.0, 3.5, 0.8),
+                   (45.0, 3.5, 0.8)],
+            occlusions=[(24.0, 28.0)]),
+        # Highly similar appearance, two long-term occlusions, no crossing.
+        _two_people(
+            "room_like", 60.0, 0.9,
+            target=[(0.0, 2.5, 0.6), (60.0, 2.5, 0.6)],
+            other=[(0.0, 2.5, -0.8), (60.0, 2.5, -0.8)],
+            occlusions=[(15.0, 21.0), (38.0, 44.0)]),
+        # Single target sweeping the 0.5-7.0 m range with lateral wander,
+        # for the range-accuracy study.
+        Scenario(
+            name="range_sweep",
+            pedestrians=[Pedestrian(id=0, cluster=0, waypoints=out + back[1:])],
+            robot_path=RobotPath([(0.0, 0.0, 0.0, 0.0)]),
+            duration=60.0,
+            similarity=0.0,
+            box_pixel_std=1.0,
+        ),
+    )}

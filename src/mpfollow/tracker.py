@@ -49,10 +49,9 @@ class TrackerConfig:
     def __post_init__(self):
         if not 0.0 <= self.delta_iou <= 1.0:
             raise ValueError("delta_iou must be in [0, 1]")
-        if self.measurement_noise_std <= 0:
-            raise ValueError("measurement_noise_std must be positive")
-        if not 0 < self.r_body < math.inf:
-            raise ValueError("r_body must be positive and finite")
+        for name in ("measurement_noise_std", "gate_distance", "r_body"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 _UPPER = np.triu_indices(4)  # the 10 distinct covariance entries, row by row
@@ -397,15 +396,14 @@ class Tracker:
             if t.confirmed():
                 associations[t.id] = det_index[j]
         for i in unmatched_t:
-            t = self.tracks[i]
-            t.missed += 1
-            if not t.confirmed():
-                t.valid = False  # tentative track lost before confirmation
+            self.tracks[i].missed += 1
         for j in unmatched_m:
             self.tracks.append(self._new_track(ys[j]))
 
+        # A tentative track dies at its first miss, a confirmed one at its
+        # first miss beyond MAX_MISSED.
         self.tracks = [t for t in self.tracks
-                       if t.valid and t.missed <= MAX_MISSED]
+                       if t.missed <= (MAX_MISSED if t.confirmed() else 0)]
         return self.tracks, associations
 
     def confirmed_tracks(self):

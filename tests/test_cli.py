@@ -580,7 +580,15 @@ class TestValidateConfig:
          "  - {id: 7, waypoints: [[1.0, 3.0, 0.0], [0.0, 3.0, 0.0]]}\n",
          "pedestrians[0].waypoints"),
         ("duration: 1.0\nocclusions: [{ped_id: 3, t_start: 0.0, t_end: 1.0}]\n",
-         "occlusions[0].ped_id")])
+         "occlusions[0].ped_id"),
+        # A drift ends after it starts, blends by 0 to 1 and ramps up over
+        # a time >= 0.
+        ("duration: 1.0\ndrifts: [{ped_id: 0, t_start: 1.0, t_end: 0.5,\n"
+         "  toward_cluster: 1, amount: 0.5}]\n", "drifts[0].t_end"),
+        ("duration: 1.0\ndrifts: [{ped_id: 0, t_start: 0.0, t_end: 1.0,\n"
+         "  toward_cluster: 1, amount: 25}]\n", "drifts[0].amount"),
+        ("duration: 1.0\ndrifts: [{ped_id: 0, t_start: 0.0, t_end: 1.0,\n"
+         "  toward_cluster: 1, amount: 0.5, ramp: -1}]\n", "drifts[0].ramp")])
     def test_bad_scenario_value_schema_error(self, tmp_path, capsys,
                                              command, extra, field):
         # Refused at load by validate-config and generate alike, not by a
@@ -697,8 +705,10 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["track -o dir", "track dir",
-                                      "experiment --out-dir file"])
+                                      "experiment --out-dir file",
+                                      "st-sweep --out-dir file"])
     def test_os_error_on_a_path_exits_4(self, tmp_path, capsys, case):
+        # Found before any frame runs or any line is printed.
         seq = tmp_path / "seq.jsonl"
         seq.write_text(ONE_FRAME_SEQUENCE)
         (tmp_path / "file").write_text("")
@@ -709,9 +719,13 @@ class TestExitCodes:
                               "-o", str(tmp_path / "t.jsonl")],
                 "experiment --out-dir file": [
                     "experiment", "lab_corridor_like",
+                    "--out-dir", str(tmp_path / "file")],
+                "st-sweep --out-dir file": [
+                    "experiment", "st-sweep", "--print-config",
                     "--out-dir", str(tmp_path / "file")]}[case]
-        code, _, stderr = run(capsys, *argv)
+        code, stdout, stderr = run(capsys, *argv)
         assert code == EXIT_RUNTIME
+        assert stdout == ""
         assert stderr.startswith("error[io]: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "dir", "file", "seq.jsonl"]

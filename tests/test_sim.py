@@ -125,6 +125,27 @@ class TestGenerate:
                 Pedestrian(id=0, waypoints=[(2.0, 0.0, 0.0),
                                             (1.0, 0.0, 0.0)])]), seed=0)
 
+    @pytest.mark.parametrize("change, field", [
+        ({"t_end": 0.5}, "t_end"),
+        ({"amount": 3.0}, "amount"), ({"amount": 25.0}, "amount"),
+        ({"amount": -0.5}, "amount"), ({"amount": math.nan}, "amount"),
+        ({"ramp": -1.0}, "ramp"), ({"ramp": math.inf}, "ramp"),
+        ({"ramp": math.nan}, "ramp")])
+    def test_drift_out_of_range_names_field(self, change, field):
+        # An amount above 1 slerps past the other cluster's mean; a
+        # negative amount or ramp would switch the drift off unseen.
+        drift = DriftEvent(**{"ped_id": 0, "t_start": 1.0, "t_end": 4.0,
+                              "toward_cluster": 1, "amount": 1.0, **change})
+        with pytest.raises(ScenarioError,
+                           match=rf"^field 'drifts\[0\]\.{field}': "):
+            simple_scenario(drifts=[drift]).validate()
+
+    @pytest.mark.parametrize("amount, ramp", [(0.0, 0.0), (1.0, 2.0)])
+    def test_drift_bounds_accepted(self, amount, ramp):
+        drift = DriftEvent(ped_id=0, t_start=1.0, t_end=1.0, toward_cluster=1,
+                           amount=amount, ramp=ramp)
+        simple_scenario(drifts=[drift]).validate()
+
     def test_boxes_inside_image(self):
         sc = simple_scenario(box_pixel_std=2.0)
         intr = sc.intrinsics

@@ -87,6 +87,18 @@ crowd_box_strategy = st.builds(
     st.floats(100, 300), st.floats(5, 60), st.floats(100, 400))
 
 
+class TestTrackerConfig:
+    @pytest.mark.parametrize("field", ["measurement_noise_std",
+                                       "gate_distance", "r_body"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_lengths_positive_and_finite(self, field, value):
+        # A NaN gate matches nothing, so every detection would start a
+        # track; an infinite noise std makes the covariances NaN.
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be positive and finite$"):
+            TrackerConfig(**{field: value})
+
+
 class TestFilterOverlaps:
     def test_identical_boxes_removed(self):
         b = BoundingBox(0, 0, 10, 10)

@@ -4,6 +4,8 @@ Usage: python3 tools/output_digest.py SRC_DIR
 
 SRC_DIR holds the ``mpfollow`` package (a checkout's ``src``). At seed 0
 the digest covers:
+- the repr of ``sim.builtin_scenarios()``, so a built-in that changes
+  shape or name changes the digest even where no run output shows it;
 - the exact repr of every per-frame result (mode, target id, target box
   and position, track rows, scores), and the ``metrics.txt`` and
   ``trace.jsonl`` of each built-in scenario run in ST, in SLT and with
@@ -160,6 +162,9 @@ def digest(src):
     from mpfollow.reid import ReidConfig
 
     h = _Digests()
+    builtins = repr(sim.builtin_scenarios()).encode()
+    h.full.update(builtins)
+    h.decisions.update(builtins)
     original = pipeline.FollowPipeline.process_frame
 
     def recorded(self, record):
