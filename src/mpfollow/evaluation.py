@@ -68,17 +68,12 @@ def range_error_stats(pairs) -> RangeErrorStats:
     bins = []
     for (lo, hi) in RANGE_BINS:
         e = np.array(errors[(lo, hi)])
-        if e.size:
-            q1, med, q3 = np.percentile(e, [25, 50, 75])
-            bins.append({"lo": lo, "hi": hi, "count": int(e.size),
-                         "mean_abs_error": float(e.mean()),
-                         "variance": float(e.var()),
-                         "q1": float(q1), "median": float(med),
-                         "q3": float(q3)})
-        else:
-            bins.append({"lo": lo, "hi": hi, "count": 0,
-                         "mean_abs_error": 0.0, "variance": 0.0,
-                         "q1": 0.0, "median": 0.0, "q3": 0.0})
+        stats = ([e.mean(), e.var(), *np.percentile(e, [25, 50, 75])]
+                 if e.size else [0.0] * 5)
+        mae, var, q1, med, q3 = map(float, stats)
+        bins.append({"lo": lo, "hi": hi, "count": int(e.size),
+                     "mean_abs_error": mae, "variance": var,
+                     "q1": q1, "median": med, "q3": q3})
     return RangeErrorStats(bins)
 
 

@@ -157,12 +157,12 @@ def estimate_depth(box: BoundingBox, intr: CameraIntrinsics, r: float) -> float:
 def process_measurements(boxes, intr: CameraIntrinsics, extr: Extrinsics, r: float):
     """Convert raw boxes to the 2-vector measurements of the linear model.
 
-    Row 0 derives from the horizontal box center, row 1 from the
+    Entry 0 derives from the horizontal box center, entry 1 from the
     width-based depth; both are shifted into the rotated-world-position
-    space that the observation matrix maps states into. Returns the (m, 2)
-    finite measurements and the indices of their boxes. The frame
-    constants are computed once; per box, plain float arithmetic rounds
-    exactly as numpy float64 scalars do.
+    space that the observation matrix maps states into. Returns the finite
+    measurements, as (y0, y1) float pairs, and the indices of their boxes.
+    The frame constants are computed once; per box, plain float arithmetic
+    rounds exactly as numpy float64 scalars do.
     """
     tx, ty, tz = extr.t_world_robot.tolist()
     rc_twr_x, rc_twr_z = (a * tx + b * ty + c * tz
@@ -178,16 +178,16 @@ def process_measurements(boxes, intr: CameraIntrinsics, extr: Extrinsics, r: flo
         if math.isfinite(y0) and math.isfinite(y1):
             rows.append((y0, y1))
             index.append(k)
-    return np.array(rows).reshape(-1, 2), index
+    return rows, index
 
 
 def process_measurement(box: BoundingBox, intr: CameraIntrinsics,
                         extr: Extrinsics, r: float) -> np.ndarray:
     """The measurement of one box; InvalidDetectionError if not finite."""
     y, _ = process_measurements([box], intr, extr, r)
-    if not len(y):
+    if not y:
         raise InvalidDetectionError("non-finite processed measurement")
-    return y[0]
+    return np.array(y[0])
 
 
 def build_observation_model(extr: Extrinsics) -> np.ndarray:
@@ -255,4 +255,4 @@ def project_person(world_pos, r: float, h: float, intr: CameraIntrinsics,
     v_br = min(v_br, float(intr.image_height))
     if u_br - u_tl < MIN_BOX_WIDTH or v_br - v_tl <= 1e-9:
         raise NotVisibleError("person outside the image")
-    return BoundingBox(u_tl, v_tl, u_br, v_br)
+    return BoundingBox(float(u_tl), float(v_tl), float(u_br), float(v_br))

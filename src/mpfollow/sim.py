@@ -169,6 +169,9 @@ class Scenario:
             for k, ev in enumerate(events):
                 if ev.ped_id not in ids:
                     fail(f"{key}[{k}].ped_id", "no pedestrian with this id")
+                for name in ("t_start", "t_end"):
+                    if not math.isfinite(getattr(ev, name)):
+                        fail(f"{key}[{k}].{name}", "must be finite")
                 if ev.t_end < ev.t_start:
                     fail(f"{key}[{k}].t_end", "before t_start")
         for k, ev in enumerate(self.drifts):
@@ -328,8 +331,7 @@ def generate(scenario: Scenario, seed: int):
 
 
 def _jitter_box(box, std, intr, rng):
-    vals = box.as_array() + rng.normal(0.0, std, 4)
-    u_tl, v_tl, u_br, v_br = vals
+    u_tl, v_tl, u_br, v_br = (box.as_array() + rng.normal(0.0, std, 4)).tolist()
     u_tl = min(max(u_tl, 0.0), intr.image_width - 2.0)
     v_tl = min(max(v_tl, 0.0), intr.image_height - 2.0)
     u_br = min(max(u_br, u_tl + geometry.MIN_BOX_WIDTH), float(intr.image_width))

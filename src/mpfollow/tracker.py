@@ -36,7 +36,6 @@ MAX_MISSED = 30                    # unmatched frames before track deletion
 MIN_HITS = 2                       # matches before a track is confirmed
 INIT_POSITION_STD = 0.5            # meters
 INIT_VELOCITY_STD = 1.0            # m/s
-_INIT_COV = np.diag([INIT_POSITION_STD**2] * 2 + [INIT_VELOCITY_STD**2] * 2)
 
 
 @dataclass
@@ -55,16 +54,18 @@ class TrackerConfig:
 
 
 _UPPER = np.triu_indices(4)  # the 10 distinct covariance entries, row by row
+_INIT_COV = (INIT_POSITION_STD**2, 0.0, 0.0, 0.0, INIT_POSITION_STD**2, 0.0,
+             0.0, INIT_VELOCITY_STD**2, 0.0, INIT_VELOCITY_STD**2)
 
 
 @dataclass(init=False)
 class TrackState:
     """Kalman state of one person: planar position and velocity, world frame.
 
-    The filter keeps floats: ``mean`` [x, y, xdot, ydot] and ``cov``, the
-    10 entries of the covariance's upper triangle row by row, so P is
-    symmetric by construction (a P given is kept as its symmetric part).
-    ``s`` and ``P`` are numpy snapshots of them, built on each read.
+    The filter keeps floats: ``mean`` [x, y, xdot, ydot] and ``cov``, a tuple
+    of P's 10 upper-triangle entries row by row, so a P given is kept as its
+    symmetric part (None: a new track's). Tracks predicted and updated alike
+    share one cov. ``s`` and ``P`` are numpy snapshots, built on each read.
     """
 
     id: int
@@ -74,11 +75,13 @@ class TrackState:
     hits: int = 0
     valid: bool = True
 
-    def __init__(self, id, s, P, missed=0, hits=0, valid=True):
+    def __init__(self, id, s, P=None, missed=0, hits=0, valid=True):
         self.id, self.missed, self.hits, self.valid = id, missed, hits, valid
         self.mean = np.asarray(s, dtype=float).reshape(4).tolist()
-        P = np.asarray(P, dtype=float).reshape(4, 4)
-        self.cov = (0.5 * (P + P.T))[_UPPER].tolist()
+        self.cov = _INIT_COV
+        if P is not None:
+            P = np.asarray(P, dtype=float).reshape(4, 4)
+            self.cov = tuple((0.5 * (P + P.T))[_UPPER].tolist())
 
     s = property(lambda self: np.array(self.mean))
 
@@ -121,33 +124,48 @@ def filter_overlaps(dets: DetectionSet, delta_iou: float) -> DetectionSet:
             if v > worst[j]:
                 worst[j] = v
     keep = [i for i, w in enumerate(worst) if w < delta_iou]
-    return replace(dets, boxes=[boxes[i] for i in keep], indices=keep)
+    return DetectionSet([boxes[i] for i in keep], dets.timestamp, keep)
 
 
 _QP, _QV = (std * std for std in PROCESS_NOISE_STD)  # process noise per second
 
 
-def _predict(mean, cov, dt):
-    """F s and F P F^T + Q dt for F = [[I, dt I], [0, I]], block by block."""
+def _predict_mean(mean, dt):
+    """F s for F = [[I, dt I], [0, I]]."""
     x0, x1, x2, x3 = mean
+    return [x0 + dt * x2, x1 + dt * x3, x2, x3]
+
+
+def _predict_cov(cov, dt):
+    """F P F^T + Q dt, block by block."""
     p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
     # P = [[A, B], [B^T, C]]: B' = B + dt C and A' = A + dt B^T + dt B'.
     b00, b01 = p02 + dt * p22, p03 + dt * p23
     b10, b11 = p12 + dt * p23, p13 + dt * p33
-    return ([x0 + dt * x2, x1 + dt * x3, x2, x3],
-            [p00 + dt * p02 + dt * b00 + _QP * dt, p01 + dt * p12 + dt * b01,
-             b00, b01, p11 + dt * p13 + dt * b11 + _QP * dt, b10, b11,
-             p22 + _QV * dt, p23, p33 + _QV * dt])
+    return (p00 + dt * p02 + dt * b00 + _QP * dt, p01 + dt * p12 + dt * b01,
+            b00, b01, p11 + dt * p13 + dt * b11 + _QP * dt, b10, b11,
+            p22 + _QV * dt, p23, p33 + _QV * dt)
 
 
-def _update(mean, cov, y, M, r):
-    """Joseph-form update by y for H = [M 0], M = [[a, b], [c, d]], R = r I:
-    the new (mean, cov), or None when the innovation is not finite."""
+def _innovation(mean, y, M):
+    """y - H s for H = [M 0], M = (a, b, c, d) row by row."""
     a, b, c, d = M
+    return y[0] - (a * mean[0] + b * mean[1]), y[1] - (c * mean[0] + d * mean[1])
+
+
+def _correct(mean, z, K):
+    """s + K z: the mean updated by the innovation z with the gain K."""
     x0, x1, x2, x3 = mean
-    z0, z1 = y[0] - (a * x0 + b * x1), y[1] - (c * x0 + d * x1)
-    if not (math.isfinite(z0) and math.isfinite(z1)):
-        return None
+    z0, z1 = z
+    k00, k01, k10, k11, k20, k21, k30, k31 = K
+    return [x0 + k00 * z0 + k01 * z1, x1 + k10 * z0 + k11 * z1,
+            x2 + k20 * z0 + k21 * z1, x3 + k30 * z0 + k31 * z1]
+
+
+def _gain(cov, M, r):
+    """Joseph-form update of P for H = [M 0], M = [[a, b], [c, d]], R = r I:
+    the gain K, row by row, and the new cov."""
+    a, b, c, d = M
     p00, p01, p02, p03, p11, p12, p13, p22, p23, p33 = cov
     # G = P H^T; S = H G + R, inverted in closed form; K = G S^-1.
     g00, g01 = p00 * a + p01 * b, p00 * c + p01 * d
@@ -175,9 +193,8 @@ def _update(mean, cov, y, M, r):
     v10, v11 = w10 * a + w11 * b, w10 * c + w11 * d
     v20, v21 = w20 * a + w21 * b, w20 * c + w21 * d
     v30, v31 = w30 * a + w31 * b, w30 * c + w31 * d
-    return ([x0 + k00 * z0 + k01 * z1, x1 + k10 * z0 + k11 * z1,
-             x2 + k20 * z0 + k21 * z1, x3 + k30 * z0 + k31 * z1],
-            [w00 - (v00 * k00 + v01 * k01) + r * (k00 * k00 + k01 * k01),
+    return ((k00, k01, k10, k11, k20, k21, k30, k31),
+            (w00 - (v00 * k00 + v01 * k01) + r * (k00 * k00 + k01 * k01),
              w01 - (v00 * k10 + v01 * k11) + r * (k00 * k10 + k01 * k11),
              w02 - (v00 * k20 + v01 * k21) + r * (k00 * k20 + k01 * k21),
              w03 - (v00 * k30 + v01 * k31) + r * (k00 * k30 + k01 * k31),
@@ -186,7 +203,7 @@ def _update(mean, cov, y, M, r):
              w13 - (v10 * k30 + v11 * k31) + r * (k10 * k30 + k11 * k31),
              w22 - (v20 * k20 + v21 * k21) + r * (k20 * k20 + k21 * k21),
              w23 - (v20 * k30 + v21 * k31) + r * (k20 * k30 + k21 * k31),
-             w33 - (v30 * k30 + v31 * k31) + r * (k30 * k30 + k31 * k31)])
+             w33 - (v30 * k30 + v31 * k31) + r * (k30 * k30 + k31 * k31)))
 
 
 def _position_block(H):
@@ -202,7 +219,7 @@ def predict(track: TrackState, dt: float) -> TrackState:
     if not dt > 0:
         raise ValueError("dt must be positive")
     new = copy.copy(track)
-    new.mean, new.cov = _predict(track.mean, track.cov, dt)
+    new.mean, new.cov = _predict_mean(track.mean, dt), _predict_cov(track.cov, dt)
     return new
 
 
@@ -303,7 +320,8 @@ def associate(tracks, measurements, H, gate):
         for y0, y1 in measurements:
             d0, d1 = e0 - y0, e1 - y1
             row.append(d0 * d0 + d1 * d1)
-        if not all(map(math.isfinite, row)):
+        # A finite sum has finite terms; an overflowed one is checked per term.
+        if not (math.isfinite(sum(row)) or all(map(math.isfinite, row))):
             raise ValueError("association cost is not finite")
         cost.append(row)
     rows, cols = _min_cost_assignment(cost)
@@ -315,12 +333,13 @@ def associate(tracks, measurements, H, gate):
 
 def update(track: TrackState, y, H, measurement_noise_std) -> TrackState:
     """Kalman measurement update with observation matrix H = [M 0]."""
-    state = _update(track.mean, track.cov, [float(v) for v in y],
-                    _position_block(H), measurement_noise_std**2)
-    if state is None:
+    M = _position_block(H)
+    z = _innovation(track.mean, [float(v) for v in y], M)
+    if not (math.isfinite(z[0]) and math.isfinite(z[1])):
         return replace(track, valid=False)
     new = copy.copy(track)
-    new.mean, new.cov = state
+    K, new.cov = _gain(track.cov, M, measurement_noise_std**2)
+    new.mean = _correct(track.mean, z, K)
     return new
 
 
@@ -349,7 +368,7 @@ class Tracker:
         det = a * d - b * c
         y0, y1 = y
         s = [(d * y0 - b * y1) / det, (a * y1 - c * y0) / det, 0.0, 0.0]
-        track = TrackState(id=self._next_id, s=s, P=_INIT_COV, hits=1)
+        track = TrackState(id=self._next_id, s=s, hits=1)
         self._next_id += 1
         return track
 
@@ -373,24 +392,33 @@ class Tracker:
         self._last_timestamp = dets.timestamp
 
         kept = filter_overlaps(dets, cfg.delta_iou)
-        measurements, found = process_measurements(
+        ys, found = process_measurements(
             kept.boxes, self.intr, self.extr, cfg.r_body)
-        ys = measurements.tolist()
         det_index = [kept.indices[k] for k in found]
 
+        # Tracks that share a covariance object share its prediction and
+        # gain, computed once a frame, keyed by identity: equality would merge
+        # 0.0 and -0.0. Each memo entry holds its key, so no id is reused.
+        predicted, gains = {}, {}
         for t in self.tracks:
-            t.mean, t.cov = _predict(t.mean, t.cov, dt)
+            t.mean = _predict_mean(t.mean, dt)
+            if id(t.cov) not in predicted:
+                predicted[id(t.cov)] = t.cov, _predict_cov(t.cov, dt)
+            t.cov = predicted[id(t.cov)][1]
 
         pairs, unmatched_t, unmatched_m = associate(
             self.tracks, ys, self.H, cfg.gate_distance)
 
         associations = {}
+        M, r = self._M, cfg.measurement_noise_std**2
         for i, j in pairs:
             t = self.tracks[i]
             # associate refuses a non-finite cost, and each innovation is
             # minus its pair's cost vector, so every innovation is finite.
-            t.mean, t.cov = _update(t.mean, t.cov, ys[j], self._M,
-                                    cfg.measurement_noise_std**2)
+            if id(t.cov) not in gains:
+                gains[id(t.cov)] = t.cov, _gain(t.cov, M, r)
+            K, t.cov = gains[id(t.cov)][1]
+            t.mean = _correct(t.mean, _innovation(t.mean, ys[j], M), K)
             t.missed = 0
             t.hits += 1
             if t.confirmed():

@@ -139,7 +139,8 @@ class TestProcessMeasurement:
             at = int(rng.integers(0, len(boxes) + 1))
             boxes.insert(at, infinite)
             Y, index = process_measurements(boxes, wide_intr, extr, r)
-            assert Y.shape == (len(boxes) - 1, 2)
+            assert [tuple(map(type, y)) for y in Y] == \
+                [(float, float)] * (len(boxes) - 1)
             assert index == [k for k in range(len(boxes)) if k != at]
             for y, k in zip(Y, index):
                 assert np.array_equal(y, process_measurement(

@@ -130,21 +130,44 @@ class TestGenerate:
         ({"amount": 3.0}, "amount"), ({"amount": 25.0}, "amount"),
         ({"amount": -0.5}, "amount"), ({"amount": math.nan}, "amount"),
         ({"ramp": -1.0}, "ramp"), ({"ramp": math.inf}, "ramp"),
-        ({"ramp": math.nan}, "ramp")])
+        ({"ramp": math.nan}, "ramp"),
+        ({"t_start": math.nan, "t_end": math.nan}, "t_start"),
+        ({"t_start": -math.inf}, "t_start"), ({"t_end": math.inf}, "t_end")])
     def test_drift_out_of_range_names_field(self, change, field):
         # An amount above 1 slerps past the other cluster's mean; a
-        # negative amount or ramp would switch the drift off unseen.
+        # negative amount or ramp, or a time that is not finite, would
+        # switch the drift off unseen.
         drift = DriftEvent(**{"ped_id": 0, "t_start": 1.0, "t_end": 4.0,
                               "toward_cluster": 1, "amount": 1.0, **change})
         with pytest.raises(ScenarioError,
                            match=rf"^field 'drifts\[0\]\.{field}': "):
             simple_scenario(drifts=[drift]).validate()
 
+    @pytest.mark.parametrize("t_start, t_end, field", [
+        (math.nan, math.nan, "t_start"), (math.nan, 2.0, "t_start"),
+        (-math.inf, 2.0, "t_start"), (1.0, math.inf, "t_end"),
+        (1.0, math.nan, "t_end")])
+    def test_occlusion_time_not_finite_names_field(self, t_start, t_end, field):
+        # generate would skip such an occlusion without a word.
+        occlusion = OcclusionEvent(0, t_start, t_end)
+        with pytest.raises(ScenarioError, match=rf"^field 'occlusions\[0\]"
+                           rf"\.{field}': must be finite$"):
+            simple_scenario(occlusions=[occlusion]).validate()
+
     @pytest.mark.parametrize("amount, ramp", [(0.0, 0.0), (1.0, 2.0)])
     def test_drift_bounds_accepted(self, amount, ramp):
         drift = DriftEvent(ped_id=0, t_start=1.0, t_end=1.0, toward_cluster=1,
                            amount=amount, ramp=ramp)
         simple_scenario(drifts=[drift]).validate()
+
+    @pytest.mark.parametrize("std", [0.0, 0.5])
+    def test_box_corners_are_floats(self, std):
+        # Python floats, not numpy scalars: the tracker's per-box
+        # arithmetic runs several times faster on them.
+        frames = generate(simple_scenario(box_pixel_std=std), seed=2)
+        corners = {type(getattr(d.box, k)) for f in frames for d in f.detections
+                   for k in ("u_tl", "v_tl", "u_br", "v_br")}
+        assert corners == {float}
 
     def test_boxes_inside_image(self):
         sc = simple_scenario(box_pixel_std=2.0)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import os
@@ -21,6 +22,7 @@ from mpfollow.geometry import (
     build_observation_model,
     iou,
     process_measurement,
+    project_person,
     robot_pose_extrinsics,
 )
 from mpfollow.pipeline import FollowPipeline
@@ -582,6 +584,66 @@ class TestBatchedEquivalence:
                 assert_states_close(got, want)
                 assert (got.id, got.hits, got.missed, got.valid) == \
                     (want.id, want.hits, want.missed, want.valid)
+
+
+class TestSharedGain:
+    """Tracks that share a covariance object share its prediction and gain;
+    each must still hold the bits of a track predicted and updated alone."""
+
+    @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+           dts=st.lists(st.floats(0.02, 0.3), min_size=9, max_size=9),
+           misses=st.dictionaries(st.integers(2, 8), st.integers(0, 4),
+                                  min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_step_matches_one_track_calls(self, n, seed, dts, misses):
+        # n people born in frame 0, 1.5 m apart so each box can only match
+        # its own track (id k + 1 for person k). misses maps a frame to the
+        # one person missed in it: that confirmed track coasts, so its cov
+        # leaves the others', and it re-joins at the next frame.
+        intr, cfg = sim.DEFAULT_INTRINSICS, TrackerConfig()
+        extr = robot_pose_extrinsics(0.0, 0.0, 0.0)
+        H = build_observation_model(extr)
+        rng = np.random.default_rng(seed)
+        tr = Tracker(intr, extr, cfg)
+        misses = {(frame, k % n) for frame, k in misses.items()}
+        timestamps = np.cumsum([0.0] + dts).tolist()
+        shared = split = 0
+        for frame, timestamp in enumerate(timestamps):
+            dt = timestamp - timestamps[frame - 1]  # as step computes it
+            seen = [k for k in range(n) if (frame, k) not in misses]
+            boxes = [project_person(
+                [3.0 + k % 2 + rng.uniform(-0.05, 0.05),
+                 1.5 * k - 3.0 + rng.uniform(-0.05, 0.05), 0.0],
+                2 * cfg.r_body, 1.7, intr, extr) for k in seen]
+            before = {t.id: copy.copy(t) for t in tr.tracks}
+            tracks, assoc = tr.step(DetectionSet(boxes, timestamp))
+            assert [t.id for t in tracks] == list(range(1, n + 1))
+            assert assoc == {t.id: seen.index(t.id - 1) for t in tracks
+                             if t.id - 1 in seen and t.confirmed()}
+            for t in tracks if frame else ():
+                want = predict(before[t.id], dt)
+                if t.id - 1 in seen:
+                    y = process_measurement(boxes[seen.index(t.id - 1)],
+                                            intr, extr, cfg.r_body)
+                    want = update(want, y, H, cfg.measurement_noise_std)
+                # repr tells -0.0 from 0.0: the bits must be equal.
+                assert repr((t.mean, t.cov)) == repr((want.mean, want.cov))
+                assert type(t.cov) is tuple
+            groups = len({id(t.cov) for t in tracks})
+            shared += groups < n
+            split += groups > 1
+        # Every frame before the first miss has one cov for all n tracks.
+        assert shared >= 2 and split >= 1
+
+    def test_cov_is_a_tuple(self):
+        P0 = np.diag([tracker.INIT_POSITION_STD**2] * 2
+                     + [tracker.INIT_VELOCITY_STD**2] * 2)
+        born = TrackState(1, [1.0, 2.0, 0.0, 0.0])
+        assert born.cov == TrackState(1, born.s, P0).cov
+        t = make_track(2, [1.0, 2.0, 0.5, 0.0])
+        for state in (born, t, predict(t, 0.1),
+                      update(t, [0.0, 1.0], TestAssociate.H, 0.1)):
+            assert type(state.cov) is tuple
 
 
 def pitched_mount(phi):

@@ -10,6 +10,12 @@ the digest covers:
   and position, track rows, scores), and the ``metrics.txt`` and
   ``trace.jsonl`` of each built-in scenario run in ST, in SLT and with
   re-ID off;
+- the exact repr of every per-frame result of a crowd, at seeds 0, 1 and 2
+  with re-ID off: twelve people ahead of a robot that drives forward, as
+  the frame benchmark's ``crowd_track`` workload builds them. Every other
+  scene here has at most two people, so tracks born in the same frame,
+  tracks that share a Kalman gain and groups that split when one track
+  misses are exercised here;
 - the bytes ``mpfollow track`` writes for room_like and lab_corridor_like
   sequences by default, with ``--no-reid`` and with ``--mode SLT``;
 - the exit code, stdout and artifacts of ``mpfollow experiment``
@@ -25,7 +31,9 @@ the digest covers:
   bytes ``mpfollow track`` writes for it with and without re-ID, so a
   sequence reader that misreads an optional key changes the digest.
 It prints three lines. The first digests all these outputs; two trees
-print the same first line when all of them are the same. The second, the
+print the same first line when all of them are the same. A repr names
+numpy scalar types (``np.float64(0.5)``, not ``0.5``), so a value that
+changes only its type changes the first two lines. The second, the
 decisions digest, leaves out the values of the per-frame scores (it keeps
 which tracks were scored), so two trees whose fits differ only by rounding
 print the same second line. No file or stdout the CLI writes holds a score.
@@ -49,6 +57,7 @@ MODES = ("ST", "SLT", None)  # None: re-ID off
 TRACKED = ("room_like", "lab_corridor_like")
 TRACK_FLAGS = ((), ("--no-reid",), ("--mode", "SLT"))
 EXPERIMENTS = ("st-sweep", "slt-vs-st", "range-accuracy")
+CROWD_SEEDS = (0, 1, 2)
 # Every scenario key off its default. Numbers are plain decimals, which
 # YAML 1.1 and 1.2 read alike, so the digest compares readers of either.
 EVERY_KEY_SCENARIO = """\
@@ -156,6 +165,26 @@ def _cli(*argv):
     return code, out.getvalue()
 
 
+def crowd_scenario(seed):
+    """Twelve people, each keeping a lane ahead of a robot that drives along
+    world +x at 0.5 m/s and wandering around it by seeded amounts."""
+    import numpy as np
+    from mpfollow import sim
+
+    rng = np.random.default_rng([seed, 1])
+    people = []
+    for i in range(12):
+        ahead, lane = 2.5 + 6.0 * ((i * 5) % 12) / 11, -2.0 + 4.0 * i / 11
+        waypoints = [(float(t), 0.5 * t + ahead + float(rng.uniform(-1, 1)) * 0.3,
+                      lane + float(rng.uniform(-1, 1)) * 0.3)
+                     for t in np.arange(0.0, 60.0 + 1e-9, 5.0)]
+        people.append(sim.Pedestrian(id=i, cluster=i, waypoints=waypoints,
+                                     phase_offset=float(rng.uniform(0, 2 * np.pi))))
+    robot = sim.RobotPath([(0.0, 0.0, 0.0, 0.0), (60.0, 30.0, 0.0, 0.0)])
+    return sim.Scenario(name="crowd", pedestrians=people, robot_path=robot,
+                        duration=60.0, similarity=0.3, box_pixel_std=0.5)
+
+
 def digest(src):
     _import_from(src)
     from mpfollow import evaluation, pipeline, seqio, sim
@@ -185,6 +214,15 @@ def digest(src):
                     scenario, None, ReidConfig(mode=mode or "ST"), seed=0,
                     reid_enabled=mode is not None,
                     out_dir=os.path.join(tmp, "runs", label))
+        for seed in CROWD_SEEDS:
+            label = f"crowd_{seed}_off".encode()
+            h.full.update(label)
+            h.decisions.update(label)
+            scenario = crowd_scenario(seed)
+            pipe = pipeline.FollowPipeline(scenario.intrinsics,
+                                           reid_enabled=False, seed=seed)
+            for record in sim.generate(scenario, seed):
+                pipe.process_frame(record)
         pipeline.FollowPipeline.process_frame = original
         _hash_tree(h, os.path.join(tmp, "runs"))
 
