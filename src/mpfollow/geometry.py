@@ -39,6 +39,7 @@ FORWARD_CAMERA_ROTATION = np.array(
 
 _MIN_DEPTH = 0.1  # meters; closer points are treated as not visible
 MIN_BOX_WIDTH = 1.0  # pixels; a narrower box is not a detection
+MAX_MAGNITUDE = 1e50  # of a number read or a length set; its squares are finite
 
 
 @dataclass(frozen=True)
@@ -136,15 +137,18 @@ class BoundingBox:
         return np.array([self.u_tl, self.v_tl, self.u_br, self.v_br])
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes."""
+def overlap_area(a: BoundingBox, b: BoundingBox) -> float:
+    """Area of the intersection of two boxes; 0.0 if they do not overlap."""
     iw = min(a.u_br, b.u_br) - max(a.u_tl, b.u_tl)
     ih = min(a.v_br, b.v_br) - max(a.v_tl, b.v_tl)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
+    return 0.0 if iw <= 0 or ih <= 0 else iw * ih
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection over union of two boxes."""
+    inter = overlap_area(a, b)
     union = a.width * a.height + b.width * b.height - inter
-    return inter / union
+    return inter / union if inter else 0.0
 
 
 def estimate_depth(box: BoundingBox, intr: CameraIntrinsics, r: float) -> float:
@@ -204,12 +208,21 @@ def build_observation_model(extr: Extrinsics) -> np.ndarray:
     return H
 
 
+def position_block(H):
+    """The block M of H = [M 0] as floats (a, b, c, d); ValueError unless
+    H's velocity columns are zero."""
+    (a, b, *v0), (c, d, *v1) = np.asarray(H, dtype=float).tolist()
+    if any(v0) or any(v1):
+        raise ValueError("H must have zero velocity columns")
+    return a, b, c, d
+
+
 def spanning_block(H, name):
-    """The block M of H = [M 0] as floats (a, b, c, d); GeometryError naming
-    the mount unless |det M| > 1e-9. M's rows are parts of rotation rows, so
-    |det M| <= 1, and a track seeded as M^-1 y below that is mostly rounding.
-    The robot's heading only rotates M's columns: det M is the mount's."""
-    (a, b, _, _), (c, d, _, _) = H.tolist()
+    """position_block(H); GeometryError naming the mount unless |det M| >
+    1e-9. M's rows are parts of rotation rows, so |det M| <= 1, and a track
+    seeded as M^-1 y below that is mostly rounding. The robot's heading
+    only rotates M's columns: det M is the mount's."""
+    a, b, c, d = position_block(H)
     if not abs(a * d - b * c) > 1e-9:
         raise GeometryError(f"{name}: the camera's x and z axes do not span "
                             "the ground plane")

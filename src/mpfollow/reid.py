@@ -20,6 +20,7 @@ import numpy as np
 
 # Negative samples harvested per FOLLOWING frame.
 MAX_NEGATIVES = 3
+MAX_CAPACITY = 4096  # SampleSet allocates its capacity^2 Gram matrix up front
 
 
 class ReidError(ValueError):
@@ -66,6 +67,8 @@ class ReidConfig:
             raise ReidError("lam must be positive and finite")
         if self.n_id < 1 or self.capacity < 1:
             raise ReidError("n_id and capacity must be at least 1")
+        if self.capacity > MAX_CAPACITY:
+            raise ReidError(f"capacity must be at most {MAX_CAPACITY}")
 
 
 class SampleSet:

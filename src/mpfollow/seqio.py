@@ -21,6 +21,7 @@ import yaml
 
 from .geometry import (
     FORWARD_CAMERA_ROTATION,
+    MAX_MAGNITUDE as _LIMIT,
     MIN_BOX_WIDTH,
     BoundingBox,
     CameraIntrinsics,
@@ -69,7 +70,6 @@ def _fail(field, why):
     raise SchemaError(f"field '{field}': {why}" if field else why)
 
 
-_LIMIT = 1e50  # beyond physical values; the frame loop's squares stay finite
 _NUMBER = frozenset((int, float))  # true/false load as bool, not a number
 
 

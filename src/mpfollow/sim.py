@@ -57,18 +57,16 @@ class DriftEvent:
 
 
 def _interpolate(waypoints, t):
-    """Values of time-monotone (t, *values) waypoints at t, piecewise linear.
-
-    Held constant before the first and after the last waypoint.
-    """
+    """Values of time-monotone (t, *values) waypoints at t, piecewise linear,
+    as floats; held constant before the first and after the last waypoint."""
     if t <= waypoints[0][0]:
-        return waypoints[0][1:]
+        return tuple(map(float, waypoints[0][1:]))
     if t >= waypoints[-1][0]:
-        return waypoints[-1][1:]
+        return tuple(map(float, waypoints[-1][1:]))
     for a, b in zip(waypoints, waypoints[1:]):
         if a[0] <= t <= b[0]:
             f = 0.0 if b[0] == a[0] else (t - a[0]) / (b[0] - a[0])
-            return tuple(u + f * (v - u) for u, v in zip(a[1:], b[1:]))
+            return tuple(float(u + f * (v - u)) for u, v in zip(a[1:], b[1:]))
     raise AssertionError("unreachable")
 
 
@@ -91,7 +89,7 @@ class Pedestrian:
     phase_offset: float = 0.0
 
     def position(self, t):
-        return np.array(_interpolate(self.waypoints, t))
+        return _interpolate(self.waypoints, t)
 
 
 @dataclass
@@ -199,15 +197,6 @@ class FrameRecord:
     pedestrian_positions: dict          # id -> (x, y)
 
 
-def _coverage(inner: BoundingBox, by: BoundingBox) -> float:
-    """Fraction of inner's area covered by the other box."""
-    iw = min(inner.u_br, by.u_br) - max(inner.u_tl, by.u_tl)
-    ih = min(inner.v_br, by.v_br) - max(inner.v_tl, by.v_tl)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    return iw * ih / (inner.width * inner.height)
-
-
 class SyntheticExtractor:
     """Generates descriptors for simulated identities.
 
@@ -232,9 +221,6 @@ class SyntheticExtractor:
         # variation carries no cross-identity signal: cluster i's axis is
         # e_{n_clusters + 1 + i}.
         self._view_axes = np.eye(n_clusters, dim, k=n_clusters + 1)
-
-    def mean(self, cluster):
-        return self.means[cluster].copy()
 
     def extract(self, cluster, phase=0.0, blend_toward=None, blend=0.0):
         """Descriptor for one observation of a cluster identity.
@@ -286,7 +272,7 @@ def generate(scenario: Scenario, seed: int):
         rx, ry, rtheta = scenario.robot_path.pose(t)
         extr = geometry.robot_pose_extrinsics(rx, ry, rtheta)
 
-        positions = {p.id: tuple(p.position(t)) for p in scenario.pedestrians}
+        positions = {p.id: p.position(t) for p in scenario.pedestrians}
         occluded = {ev.ped_id for ev in scenario.occlusions
                     if ev.t_start <= t < ev.t_end}
 
@@ -305,10 +291,10 @@ def generate(scenario: Scenario, seed: int):
         for p, box, depth in candidates:
             if p.id in occluded:
                 continue
-            covered = max((_coverage(box, other_box)
+            covered = max((geometry.overlap_area(box, other_box)
                            for q, other_box, other_depth in candidates
                            if q.id != p.id and other_depth < depth), default=0.0)
-            if covered > OVERLAP_OCCLUSION_THRESHOLD:
+            if covered / (box.width * box.height) > OVERLAP_OCCLUSION_THRESHOLD:
                 continue
             if scenario.box_pixel_std > 0:
                 box = _jitter_box(box, scenario.box_pixel_std,

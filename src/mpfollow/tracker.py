@@ -21,10 +21,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import (
+    MAX_MAGNITUDE,
     CameraIntrinsics,
     Extrinsics,
     build_observation_model,
     iou,
+    position_block,
     process_measurement,  # not called here: framebench's tracer hooks this name
     process_measurements,
     spanning_block,
@@ -51,6 +53,8 @@ class TrackerConfig:
         for name in ("measurement_noise_std", "gate_distance", "r_body"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+            if getattr(self, name) > MAX_MAGNITUDE:
+                raise ValueError(f"{name} must be at most {MAX_MAGNITUDE:g}")
 
 
 _UPPER = np.triu_indices(4)  # the 10 distinct covariance entries, row by row
@@ -206,14 +210,6 @@ def _gain(cov, M, r):
              w33 - (v30 * k30 + v31 * k31) + r * (k30 * k30 + k31 * k31)))
 
 
-def _position_block(H):
-    """The block M of H = [M 0] as floats (a, b, c, d)."""
-    (a, b, *v0), (c, d, *v1) = np.asarray(H, dtype=float).tolist()
-    if any(v0) or any(v1):
-        raise ValueError("H must have zero velocity columns")
-    return a, b, c, d
-
-
 def predict(track: TrackState, dt: float) -> TrackState:
     """Constant-velocity prediction of one track over dt seconds."""
     if not dt > 0:
@@ -311,7 +307,7 @@ def associate(tracks, measurements, H, gate):
     """
     if not tracks or not len(measurements):
         return [], list(range(len(tracks))), list(range(len(measurements)))
-    a, b, c, d = _position_block(H)
+    a, b, c, d = position_block(H)
     cost = []
     for t in tracks:
         x0, x1 = t.mean[0], t.mean[1]
@@ -333,7 +329,7 @@ def associate(tracks, measurements, H, gate):
 
 def update(track: TrackState, y, H, measurement_noise_std) -> TrackState:
     """Kalman measurement update with observation matrix H = [M 0]."""
-    M = _position_block(H)
+    M = position_block(H)
     z = _innovation(track.mean, [float(v) for v in y], M)
     if not (math.isfinite(z[0]) and math.isfinite(z[1])):
         return replace(track, valid=False)

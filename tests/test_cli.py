@@ -377,7 +377,8 @@ class TestConfigFlags:
         ("--capacity", "-1"), ("--capacity", "0"), ("--n-id", "0"),
         ("--n-id", "-3"), ("--lam", "nan"), ("--lam", "inf"),
         ("--delta-switch", "nan"), ("--delta-id", "2"), ("--r-body", "0"),
-        ("--r-body", "-0.25"), ("--r-body", "nan")])
+        ("--r-body", "-0.25"), ("--r-body", "nan"), ("--r-body", "1e300"),
+        ("--capacity", "4097"), ("--capacity", "1000000")])
     def test_bad_config_value_usage_error(self, tmp_path, command, flag,
                                           value):
         # Each config value is refused when the config is built, before

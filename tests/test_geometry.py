@@ -168,6 +168,15 @@ class TestObservationModel:
             H = build_observation_model(random_extrinsics(rng))
             np.testing.assert_array_equal(H[:, 2:], 0.0)
 
+    def test_position_block(self):
+        H = np.array([[1.0, 2.0, 0.0, 0.0], [3.0, 4.0, 0.0, -0.0]])
+        M = g.position_block(H)
+        assert M == (1.0, 2.0, 3.0, 4.0)
+        assert {type(v) for v in M} == {float}
+        H[0, 2] = 1e-300
+        with pytest.raises(ValueError, match="zero velocity columns"):
+            g.position_block(H)
+
     def test_matches_nonlinear_oracle(self, wide_intr):
         rng = np.random.default_rng(5)
         checked = 0
@@ -181,6 +190,20 @@ class TestObservationModel:
             np.testing.assert_allclose(
                 H @ np.array([xy[0], xy[1], 0.0, 0.0]), y, atol=1e-9)
             checked += 1
+
+
+class TestOverlap:
+    @pytest.mark.parametrize("b, area", [
+        ((10, 0, 20, 10), 0.0),    # touching edges
+        ((11, 0, 20, 10), 0.0),    # apart
+        ((2, 3, 5, 7), 12.0),      # inside
+        ((5, -5, 15, 5), 25.0),    # across a corner
+    ])
+    def test_overlap_area(self, b, area):
+        a, b = BoundingBox(0, 0, 10, 10), BoundingBox(*b)
+        assert g.overlap_area(a, b) == g.overlap_area(b, a) == area
+        assert g.iou(a, b) == area / (100 + b.width * b.height - area)
+        assert g.iou(a, a) == 1.0
 
 
 class TestProjectPerson:

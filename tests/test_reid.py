@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpfollow import reid, sim
 from mpfollow.pipeline import FollowPipeline
 from mpfollow.reid import (
+    MAX_CAPACITY,
     MAX_NEGATIVES,
     AppearanceSample,
     FollowerMode,
@@ -140,7 +141,18 @@ class TestDescriptors:
             ext = SyntheticExtractor(dim=16, n_clusters=3, similarity=s)
             for i in range(3):
                 for j in range(i + 1, 3):
-                    assert ext.mean(i) @ ext.mean(j) == pytest.approx(s)
+                    assert ext.means[i] @ ext.means[j] == pytest.approx(s)
+
+
+class TestReidConfig:
+    def test_capacity_bounded_before_any_allocation(self):
+        # SampleSet allocates its capacity^2 Gram matrix up front; at a
+        # capacity of 1,000,000 that is 7.28 TiB. Only configs are built here.
+        ReidConfig(capacity=MAX_CAPACITY)
+        for capacity in (MAX_CAPACITY + 1, 1_000_000):
+            with pytest.raises(ReidError, match="^capacity must be at most "
+                               f"{MAX_CAPACITY}$"):
+                ReidConfig(capacity=capacity)
 
 
 class TestSampleSet:

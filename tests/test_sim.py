@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from mpfollow import seqio
 from mpfollow.controller import ControlCommand
 from mpfollow.geometry import robot_pose_extrinsics
 from mpfollow.sim import (
@@ -168,6 +170,20 @@ class TestGenerate:
         corners = {type(getattr(d.box, k)) for f in frames for d in f.detections
                    for k in ("u_tl", "v_tl", "u_br", "v_br")}
         assert corners == {float}
+
+    def test_positions_and_pose_are_floats(self, tmp_path):
+        # The types a sequence file's values read back as; integer
+        # waypoints, held before the first and after the last, too.
+        sc = simple_scenario(
+            pedestrians=[Pedestrian(id=0, waypoints=[(0, 3, 0), (5, 4, 1)]),
+                         Pedestrian(id=1, waypoints=[(1.0, 3.0, -1.0)])],
+            robot_path=RobotPath([(0, 0, 0, 0), (2, 1, 0, 1)]))
+        frames = generate(sc, seed=0)
+        seqio.write_sequence(frames, tmp_path / "seq.jsonl")
+        for read in (frames, seqio.read_sequence(tmp_path / "seq.jsonl")):
+            values = {type(v) for f in read for v in (
+                *f.robot_pose, *itertools.chain(*f.pedestrian_positions.values()))}
+            assert values == {float}
 
     def test_boxes_inside_image(self):
         sc = simple_scenario(box_pixel_std=2.0)

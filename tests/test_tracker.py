@@ -100,6 +100,27 @@ class TestTrackerConfig:
                            match=f"^{field} must be positive and finite$"):
             TrackerConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["measurement_noise_std",
+                                       "gate_distance", "r_body"])
+    @pytest.mark.parametrize("value", [math.nextafter(1e50, math.inf), 1e300])
+    def test_lengths_at_most_the_file_limit(self, field, value):
+        # Beyond the bound a sequence file's numbers keep, the frame loop's
+        # squares overflow: an r_body of 1e300 made associate refuse a
+        # non-finite cost, and a noise std of 1e300 overflowed the first update.
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be at most 1e\\+50$"):
+            TrackerConfig(**{field: value})
+
+    def test_lengths_at_the_limit_run_a_scenario(self):
+        cfg = TrackerConfig(measurement_noise_std=1e50, gate_distance=1e50,
+                            r_body=1e50)
+        pipe = FollowPipeline(sim.DEFAULT_INTRINSICS, cfg, reid_enabled=False)
+        frames = sim.generate(sim.builtin_scenarios()["corridor2_like"], 0)
+        rows = [row for record in frames
+                for row in pipe.process_frame(record).tracks]
+        assert rows
+        assert all(math.isfinite(x) and math.isfinite(y) for _, x, y, _ in rows)
+
 
 class TestFilterOverlaps:
     def test_identical_boxes_removed(self):
@@ -218,6 +239,15 @@ class TestUpdate:
         t2 = update(t, np.array([1.0, 2.0]), self.H, 0.1)
         np.testing.assert_allclose(t2.s, t.s, atol=1e-12)
         assert np.trace(t2.P[:2, :2]) < np.trace(t.P[:2, :2])
+
+    def test_velocity_terms_refused(self):
+        # associate and update read M from H through geometry.position_block.
+        t, H = make_track(1, [1, 2, 0, 0]), self.H.copy()
+        H[1, 3] = 1e-300
+        with pytest.raises(ValueError, match="zero velocity columns"):
+            update(t, np.array([1.0, 2.0]), H, 0.1)
+        with pytest.raises(ValueError, match="zero velocity columns"):
+            associate([t], [(1.0, 2.0)], H, 1.0)
 
     def test_nonfinite_innovation_flags_invalid(self):
         t = make_track(1, [1, 2, 0, 0])
