@@ -53,22 +53,17 @@ def _out_dir(args):
     return args.out_dir or os.environ.get("MPFOLLOW_OUT_DIR", ".")
 
 
-def _config(cls, **flags):
-    """cls from the config flags given on the command line, or error[config]."""
+def _configs(args):
+    """The tracker and re-ID configs from the flags given, or error[config]."""
+    def given(*names):
+        return {n: getattr(args, n) for n in names
+                if getattr(args, n) is not None}
     try:
-        return cls(**{name: v for name, v in flags.items() if v is not None})
+        return (TrackerConfig(**given("delta_iou", "r_body")),
+                ReidConfig(**given("delta_switch", "delta_id", "n_id",
+                                   "capacity", "mode", "lam")))
     except ValueError as e:
         raise CliError("config", str(e), EXIT_USAGE)
-
-
-def _tracker_config(args):
-    return _config(TrackerConfig, delta_iou=args.delta_iou, r_body=args.r_body)
-
-
-def _reid_config(args):
-    return _config(ReidConfig, delta_switch=args.delta_switch,
-                   delta_id=args.delta_id, n_id=args.n_id,
-                   capacity=args.capacity, mode=args.mode, lam=args.lam)
 
 
 def _print_config(args, tracker_cfg, reid_cfg):
@@ -79,6 +74,7 @@ def _print_config(args, tracker_cfg, reid_cfg):
 
 
 def cmd_generate(args):
+    seqio.check_output(args.out)
     frames = sim.generate(_resolve_scenario(args.scenario), args.seed)
     seqio.write_sequence(frames, args.out)
     print(f"wrote {len(frames)} frames to {args.out}")
@@ -86,23 +82,20 @@ def cmd_generate(args):
 
 
 def cmd_track(args):
-    frames = seqio.read_sequence(args.sequence)
-    tracker_cfg = _tracker_config(args)
-    reid_cfg = _reid_config(args)
-    _print_config(args, tracker_cfg, reid_cfg)
-
-    if not args.no_reid:
-        missing = all(d.descriptor is None
-                      for f in frames for d in f.detections)
-        if missing and any(f.detections for f in frames):
-            raise CliError(
-                "config",
-                "re-ID enabled but the sequence carries no descriptors "
-                "(rerun with --no-reid or provide descriptors)", EXIT_USAGE)
-
+    """Check the configs, -o, --calibration, then the sequence; then track."""
+    tracker_cfg, reid_cfg = _configs(args)
+    out = args.out or os.path.join(_out_dir(args), "tracks.jsonl")
+    seqio.check_output(out)
     intr, mount = DEFAULT_INTRINSICS, None
     if args.calibration:
         intr, mount = seqio.load_calibration(args.calibration)
+    frames = seqio.read_sequence(args.sequence)
+    if not args.no_reid and any(f.detections for f in frames) and all(
+            d.descriptor is None for f in frames for d in f.detections):
+        raise CliError("config", "re-ID enabled but the sequence carries no "
+                       "descriptors (rerun with --no-reid or provide "
+                       "descriptors)", EXIT_USAGE)
+    _print_config(args, tracker_cfg, reid_cfg)
 
     pipe = FollowPipeline(intr, tracker_cfg, reid_cfg,
                           target_person_id=args.target_person,
@@ -121,7 +114,6 @@ def cmd_track(args):
                 "is_target": (not args.no_reid
                               and tid == result.target_track_id) or None,
             })
-    out = args.out or os.path.join(_out_dir(args), "tracks.jsonl")
     seqio.write_jsonl(rows, out)
     print(f"wrote {len(rows)} track rows to {out}")
     return EXIT_OK
@@ -130,10 +122,8 @@ def cmd_track(args):
 def cmd_experiment(args):
     """Run a named experiment with the configs the flags give; a sweep
     overrides only the fields it sweeps, and refuses flags for them."""
+    tracker_cfg, reid_cfg = _configs(args)
     out_dir = _out_dir(args)
-    tracker_cfg = _tracker_config(args)
-    reid_cfg = _reid_config(args)
-    seed = args.seed
     scenarios = sim.builtin_scenarios()
     name = args.name
     if name not in EXPERIMENTS and name not in scenarios:
@@ -149,14 +139,14 @@ def cmd_experiment(args):
         for mode, cap in runs:
             r, _, _ = evaluation.run_experiment(
                 scenarios[scenario], tracker_cfg,
-                replace(reid_cfg, mode=mode, capacity=cap), seed=seed,
+                replace(reid_cfg, mode=mode, capacity=cap), seed=args.seed,
                 out_dir=os.path.join(out_dir, f"{mode.lower()}_{cap}"))
             print(f"GRR_{mode}_{cap} precision@50px {r.ap:.3f}")
     elif name == "range-accuracy":
         _, stats, _ = evaluation.run_experiment(
             scenarios["range_sweep"],
             replace(tracker_cfg, measurement_noise_std=0.3, gate_distance=2.0),
-            reid_cfg, seed=seed, reid_enabled=False,
+            reid_cfg, seed=args.seed, reid_enabled=False,
             out_dir=os.path.join(out_dir, "range_accuracy"))
         print("bin_lo bin_hi count mae")
         for b in stats.bins:
@@ -164,19 +154,17 @@ def cmd_experiment(args):
                   f"{b['mean_abs_error']:.4f}")
     else:
         r, _, _ = evaluation.run_experiment(
-            scenarios[name], tracker_cfg, reid_cfg, seed=seed,
+            scenarios[name], tracker_cfg, reid_cfg, seed=args.seed,
             out_dir=os.path.join(out_dir, name))
         print(f"{name} precision@50px {r.ap:.3f}")
     return EXIT_OK
 
 
 def cmd_validate_config(args):
-    path = args.path
-    if args.kind == "scenario":  # argparse allows no other kind
-        seqio.load_scenario(path)
-    else:
-        seqio.load_calibration(path)
-    print(f"{path}: valid {args.kind}")
+    load = {"scenario": seqio.load_scenario,
+            "calibration": seqio.load_calibration}[args.kind]
+    load(args.path)
+    print(f"{args.path}: valid {args.kind}")
     return EXIT_OK
 
 

@@ -57,17 +57,11 @@ def range_error_stats(pairs) -> RangeErrorStats:
     pairs: iterable of (estimated_range or None, true_range); frames with
     no estimate are skipped (range accuracy is a tracking property).
     """
-    errors = {b: [] for b in RANGE_BINS}
-    for est, true in pairs:
-        if est is None:
-            continue
-        for lo, hi in RANGE_BINS:
-            if lo <= true < hi:
-                errors[(lo, hi)].append(abs(est - true))
-                break
+    pairs = [(est, true) for est, true in pairs if est is not None]
     bins = []
-    for (lo, hi) in RANGE_BINS:
-        e = np.array(errors[(lo, hi)])
+    for lo, hi in RANGE_BINS:
+        e = np.array([abs(est - true) for est, true in pairs
+                      if lo <= true < hi])
         stats = ([e.mean(), e.var(), *np.percentile(e, [25, 50, 75])]
                  if e.size else [0.0] * 5)
         mae, var, q1, med, q3 = map(float, stats)

@@ -21,6 +21,9 @@ import numpy as np
 # Negative samples harvested per FOLLOWING frame.
 MAX_NEGATIVES = 3
 MAX_CAPACITY = 4096  # SampleSet allocates its capacity^2 Gram matrix up front
+# SLT keeps a target sample in two rows of X, so G + lam I is singular once
+# lam is lost in the rounding of G's unit diagonal (below about 1.1e-16).
+MIN_LAM = 1e-12
 
 
 class ReidError(ValueError):
@@ -63,8 +66,8 @@ class ReidConfig:
         for name in ("delta_switch", "delta_id"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ReidError(f"{name} must be in [0, 1]")
-        if not 0 < self.lam < math.inf:
-            raise ReidError("lam must be positive and finite")
+        if not MIN_LAM <= self.lam < math.inf:
+            raise ReidError(f"lam must be finite and at least {MIN_LAM:g}")
         if self.n_id < 1 or self.capacity < 1:
             raise ReidError("n_id and capacity must be at least 1")
         if self.capacity > MAX_CAPACITY:

@@ -8,6 +8,7 @@ of its keys, each with the kind that reads its value.
 
 from __future__ import annotations
 
+import errno
 import inspect
 import json
 import math
@@ -49,17 +50,30 @@ class SchemaError(ValueError):
     """Malformed input file; message carries file/line/field context."""
 
 
+def check_output(path):
+    """Refuse, creating nothing, an output path that is a directory or whose
+    directory is missing; the OSError names path."""
+    if os.path.isdir(path) or not os.path.isdir(
+            os.path.dirname(os.path.abspath(path))):
+        code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+
+
 def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    """Write text to path through a temporary file beside it; an OSError
+    names path, and no temporary file is left."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-")
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from e
+    finally:
+        if tmp and os.path.exists(tmp):  # os.replace moved it on success
             os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ _INIT_COV = (INIT_POSITION_STD**2, 0.0, 0.0, 0.0, INIT_POSITION_STD**2, 0.0,
              0.0, INIT_VELOCITY_STD**2, 0.0, INIT_VELOCITY_STD**2)
 
 
-@dataclass(init=False)
+@dataclass(init=False, eq=False)
 class TrackState:
     """Kalman state of one person: planar position and velocity, world frame.
 

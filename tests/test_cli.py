@@ -378,7 +378,8 @@ class TestConfigFlags:
         ("--n-id", "-3"), ("--lam", "nan"), ("--lam", "inf"),
         ("--delta-switch", "nan"), ("--delta-id", "2"), ("--r-body", "0"),
         ("--r-body", "-0.25"), ("--r-body", "nan"), ("--r-body", "1e300"),
-        ("--capacity", "4097"), ("--capacity", "1000000")])
+        ("--capacity", "4097"), ("--capacity", "1000000"), ("--lam", "0"),
+        ("--lam", "1e-16"), ("--lam", "1e-300")])
     def test_bad_config_value_usage_error(self, tmp_path, command, flag,
                                           value):
         # Each config value is refused when the config is built, before
@@ -730,3 +731,70 @@ class TestExitCodes:
         assert stderr.startswith("error[io]: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "dir", "file", "seq.jsonl"]
+
+
+class TestSetupOrder:
+    """track checks its configs, its output path, its calibration and its
+    sequence, in that order, and each before it reads the next; generate
+    checks its -o before it reads or generates its scenario."""
+
+    STEPS = ("config", "output", "calibration", "sequence")
+
+    @pytest.mark.parametrize("first_bad", STEPS)
+    def test_track_refuses_the_first_bad_input(self, tmp_path, capsys,
+                                               first_bad):
+        # Every input from first_bad on is bad. The sequence never exists,
+        # so an error that names anything else shows it was never opened.
+        calib = tmp_path / "calib.yaml"
+        calib.write_text("intrinsics: {f_x: 500.0, f_y: 500.0, c_x: 320.0, "
+                         "c_y: 240.0, image_width: 640, image_height: 480}\n")
+        bad = set(self.STEPS[self.STEPS.index(first_bad):])
+        seq = tmp_path / "absent.jsonl"
+        out = tmp_path / ("nodir/t.jsonl" if "output" in bad else "t.jsonl")
+        cal = tmp_path / "absent.yaml" if "calibration" in bad else calib
+        argv = ["track", str(seq), "--mode", "SLT", "--print-config",
+                "-o", str(out), "--calibration", str(cal)]
+        if "config" in bad:
+            argv += ["--capacity", "1000000"]
+        code, stdout, stderr = run(capsys, *argv)
+        assert stdout == ""
+        if first_bad == "config":
+            assert (code, stderr) == (
+                EXIT_USAGE, "error[config]: capacity must be at most 4096\n")
+        else:
+            named = {"output": out, "calibration": cal, "sequence": seq}
+            assert (code, stderr) == (
+                EXIT_RUNTIME, "error[io]: [Errno 2] No such file or "
+                f"directory: '{named[first_bad]}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["calib.yaml"]
+
+    @pytest.mark.parametrize("scenario", ["room_like", "absent.yaml"])
+    def test_generate_refuses_output_before_its_scenario(
+            self, tmp_path, capsys, monkeypatch, scenario):
+        monkeypatch.setattr(sim, "generate",
+                            lambda *args: pytest.fail("generate ran"))
+        out = tmp_path / "nodir" / "x.jsonl"
+        code, stdout, stderr = run(capsys, "generate",
+                                   str(tmp_path / scenario), "-o", str(out))
+        assert (code, stdout) == (EXIT_RUNTIME, "")
+        assert stderr == ("error[io]: [Errno 2] No such file or directory: "
+                          f"'{out}'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["generate", "track"])
+    def test_bad_output_error_names_the_path_given(self, tmp_path, capsys,
+                                                   command):
+        # The same run twice prints the same stderr, which names the -o
+        # given, not a temporary file's random name.
+        seq = tmp_path / "seq.jsonl"
+        seq.write_text(ONE_FRAME_SEQUENCE)
+        out = tmp_path / ("nodir/x.jsonl" if command == "generate" else "dir")
+        (tmp_path / "dir").mkdir()
+        argv = (["generate", "room_like"] if command == "generate"
+                else ["track", str(seq), "--no-reid"])
+        errors = [run(capsys, *argv, "-o", str(out))[2] for _ in range(2)]
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error[io]: [Errno ")
+        assert errors[0].endswith(f": '{out}'\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "dir", "seq.jsonl"]

@@ -10,6 +10,7 @@ from mpfollow.pipeline import FollowPipeline
 from mpfollow.reid import (
     MAX_CAPACITY,
     MAX_NEGATIVES,
+    MIN_LAM,
     AppearanceSample,
     FollowerMode,
     FollowerState,
@@ -153,6 +154,26 @@ class TestReidConfig:
             with pytest.raises(ReidError, match="^capacity must be at most "
                                f"{MAX_CAPACITY}$"):
                 ReidConfig(capacity=capacity)
+
+    def test_lam_floor(self):
+        ReidConfig(lam=MIN_LAM)
+        for lam in (np.nextafter(MIN_LAM, 0), 1e-16, 1e-300, 0.0, -1.0,
+                    math.nan, math.inf):
+            with pytest.raises(ReidError, match="^lam must be finite and at "
+                               f"least {MIN_LAM:g}$"):
+                ReidConfig(lam=lam)
+
+    def test_slt_runs_at_the_lam_floor(self):
+        # SLT keeps a target sample in two rows of X, so G has equal rows;
+        # below the floor (at 1e-16 on this scenario) the solve is singular.
+        sc = sim.builtin_scenarios()["corridor1_like"]
+        pipe = FollowPipeline(sc.intrinsics, reid_cfg=ReidConfig(
+            mode="SLT", lam=MIN_LAM), target_person_id=sc.target_id, seed=0)
+        results = [pipe.process_frame(f) for f in sim.generate(sc, 0)]
+        assert any(r.target_track_id is not None for r in results)
+        assert any(r.scores for r in results)
+        assert all(math.isfinite(s) for r in results
+                   for s in r.scores.values())
 
 
 class TestSampleSet:

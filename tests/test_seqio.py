@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from mpfollow.seqio import (
     load_calibration,
     load_scenario,
     read_sequence,
+    write_jsonl,
     write_sequence,
 )
 from mpfollow.sim import (
@@ -529,3 +531,16 @@ def test_person_walking_off_the_image_loads_and_tracks(tmp_path):
     assert len(read_sequence(str(path))) == len(frames)
     assert _track(str(path)) == 0
     assert _track(str(path), "--no-reid") == 0
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("target", ["nodir/x.jsonl", "dir"])
+    def test_os_error_names_the_path_and_leaves_no_temp_file(self, tmp_path,
+                                                              target):
+        (tmp_path / "dir").mkdir()
+        path = tmp_path / target
+        with pytest.raises(OSError) as e:
+            write_jsonl([{"a": 1}], str(path))
+        code = e.value.errno
+        assert str(e.value) == f"[Errno {code}] {os.strerror(code)}: '{path}'"
+        assert [p.name for p in tmp_path.rglob("*")] == ["dir"]

@@ -122,6 +122,16 @@ class TestTrackerConfig:
         assert all(math.isfinite(x) and math.isfinite(y) for _, x, y, _ in rows)
 
 
+class TestTrackState:
+    def test_equality_is_identity_and_states_hash(self):
+        a, b = TrackState(1, [1, 2, 0, 0]), TrackState(1, [1, 2, 0, 0])
+        assert a == a and a != b
+        assert len({a, b}) == 2 and {a: "a", b: "b"}[a] == "a"
+        c = replace(a, missed=3)
+        assert c != a and (c.id, c.missed) == (1, 3)
+        assert (c.mean, c.cov) == (a.mean, a.cov)
+
+
 class TestFilterOverlaps:
     def test_identical_boxes_removed(self):
         b = BoundingBox(0, 0, 10, 10)

@@ -11,8 +11,9 @@ the digest covers:
   ``trace.jsonl`` of each built-in scenario run in ST, in SLT and with
   re-ID off;
 - the exact repr of every per-frame result of a crowd, at seeds 0, 1 and 2
-  with re-ID off: twelve people ahead of a robot that drives forward, as
-  the frame benchmark's ``crowd_track`` workload builds them. Every other
+  with re-ID off: twelve people ahead of a robot that drives forward,
+  built by the ``crowd_scenario`` of the frame benchmark's
+  ``crowd_track`` workload (``framebench/workloads.py``). Every other
   scene here has at most two people, so tracks born in the same frame,
   tracks that share a Kalman gain and groups that split when one track
   misses are exercised here;
@@ -58,6 +59,8 @@ TRACKED = ("room_like", "lab_corridor_like")
 TRACK_FLAGS = ((), ("--no-reid",), ("--mode", "SLT"))
 EXPERIMENTS = ("st-sweep", "slt-vs-st", "range-accuracy")
 CROWD_SEEDS = (0, 1, 2)
+FRAMEBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "framebench")
 # Every scenario key off its default. Numbers are plain decimals, which
 # YAML 1.1 and 1.2 read alike, so the digest compares readers of either.
 EVERY_KEY_SCENARIO = """\
@@ -165,30 +168,12 @@ def _cli(*argv):
     return code, out.getvalue()
 
 
-def crowd_scenario(seed):
-    """Twelve people, each keeping a lane ahead of a robot that drives along
-    world +x at 0.5 m/s and wandering around it by seeded amounts."""
-    import numpy as np
-    from mpfollow import sim
-
-    rng = np.random.default_rng([seed, 1])
-    people = []
-    for i in range(12):
-        ahead, lane = 2.5 + 6.0 * ((i * 5) % 12) / 11, -2.0 + 4.0 * i / 11
-        waypoints = [(float(t), 0.5 * t + ahead + float(rng.uniform(-1, 1)) * 0.3,
-                      lane + float(rng.uniform(-1, 1)) * 0.3)
-                     for t in np.arange(0.0, 60.0 + 1e-9, 5.0)]
-        people.append(sim.Pedestrian(id=i, cluster=i, waypoints=waypoints,
-                                     phase_offset=float(rng.uniform(0, 2 * np.pi))))
-    robot = sim.RobotPath([(0.0, 0.0, 0.0, 0.0), (60.0, 30.0, 0.0, 0.0)])
-    return sim.Scenario(name="crowd", pedestrians=people, robot_path=robot,
-                        duration=60.0, similarity=0.3, box_pixel_std=0.5)
-
-
 def digest(src):
     _import_from(src)
     from mpfollow import evaluation, pipeline, seqio, sim
     from mpfollow.reid import ReidConfig
+    sys.path.insert(0, FRAMEBENCH)  # after the tree's mpfollow is imported
+    from workloads import crowd_scenario
 
     h = _Digests()
     builtins = repr(sim.builtin_scenarios()).encode()
