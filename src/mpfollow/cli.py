@@ -38,6 +38,11 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's exit 2 means a bad input file here
+        raise CliError("usage", f"{self.prog}: {message}", EXIT_USAGE)
+
+
 def _resolve_scenario(name_or_path):
     builtins = sim.builtin_scenarios()
     if name_or_path in builtins:
@@ -47,10 +52,6 @@ def _resolve_scenario(name_or_path):
                        f"unknown scenario '{name_or_path}' (built-ins: "
                        f"{', '.join(sorted(builtins))})", EXIT_USAGE)
     return seqio.load_scenario(name_or_path)
-
-
-def _out_dir(args):
-    return args.out_dir or os.environ.get("MPFOLLOW_OUT_DIR", ".")
 
 
 def _configs(args):
@@ -82,10 +83,10 @@ def cmd_generate(args):
 
 
 def cmd_track(args):
-    """Check the configs, -o, --calibration, then the sequence; then track."""
+    """Check the configs, -o, --calibration, then the sequence; then track,
+    writing each frame's rows as it is tracked."""
     tracker_cfg, reid_cfg = _configs(args)
-    out = args.out or os.path.join(_out_dir(args), "tracks.jsonl")
-    seqio.check_output(out)
+    seqio.check_output(args.out)
     intr, mount = DEFAULT_INTRINSICS, None
     if args.calibration:
         intr, mount = seqio.load_calibration(args.calibration)
@@ -101,21 +102,22 @@ def cmd_track(args):
                           target_person_id=args.target_person,
                           reid_enabled=not args.no_reid, seed=args.seed,
                           mount=mount)
-    rows = []
-    for record in frames:
-        result = pipe.process_frame(record)
-        for tid, x, y, box in result.tracks:
-            rows.append({
-                "frame_index": record.frame_index,
-                "track_id": tid,
-                "x": round(x, 6), "y": round(y, 6),
-                "box": [round(v, 3) for v in box.as_array().tolist()]
-                if box is not None else None,
-                "is_target": (not args.no_reid
-                              and tid == result.target_track_id) or None,
-            })
-    seqio.write_jsonl(rows, out)
-    print(f"wrote {len(rows)} track rows to {out}")
+
+    def rows():
+        for record in frames:
+            result = pipe.process_frame(record)
+            for tid, x, y, box in result.tracks:
+                yield {
+                    "frame_index": record.frame_index,
+                    "track_id": tid,
+                    "x": round(x, 6), "y": round(y, 6),
+                    "box": [round(v, 3) for v in box.as_array().tolist()]
+                    if box is not None else None,
+                    "is_target": (not args.no_reid
+                                  and tid == result.target_track_id) or None,
+                }
+    count = seqio.write_jsonl(rows(), args.out)
+    print(f"wrote {count} track rows to {args.out}")
     return EXIT_OK
 
 
@@ -123,7 +125,6 @@ def cmd_experiment(args):
     """Run a named experiment with the configs the flags give; a sweep
     overrides only the fields it sweeps, and refuses flags for them."""
     tracker_cfg, reid_cfg = _configs(args)
-    out_dir = _out_dir(args)
     scenarios = sim.builtin_scenarios()
     name = args.name
     if name not in EXPERIMENTS and name not in scenarios:
@@ -131,7 +132,7 @@ def cmd_experiment(args):
     if name in SWEEPS and (args.mode is not None or args.capacity is not None):
         raise CliError("config", f"experiment {name} sets --mode and "
                        "--capacity itself", EXIT_USAGE)
-    os.makedirs(out_dir, exist_ok=True)  # a bad --out-dir fails before any run
+    os.makedirs(args.out_dir, exist_ok=True)  # a bad one fails before any run
     _print_config(args, tracker_cfg, reid_cfg)
     if name in SWEEPS:
         scenario, header, runs = SWEEPS[name]
@@ -140,14 +141,14 @@ def cmd_experiment(args):
             r, _, _ = evaluation.run_experiment(
                 scenarios[scenario], tracker_cfg,
                 replace(reid_cfg, mode=mode, capacity=cap), seed=args.seed,
-                out_dir=os.path.join(out_dir, f"{mode.lower()}_{cap}"))
+                out_dir=os.path.join(args.out_dir, f"{mode.lower()}_{cap}"))
             print(f"GRR_{mode}_{cap} precision@50px {r.ap:.3f}")
     elif name == "range-accuracy":
         _, stats, _ = evaluation.run_experiment(
             scenarios["range_sweep"],
             replace(tracker_cfg, measurement_noise_std=0.3, gate_distance=2.0),
             reid_cfg, seed=args.seed, reid_enabled=False,
-            out_dir=os.path.join(out_dir, "range_accuracy"))
+            out_dir=os.path.join(args.out_dir, "range_accuracy"))
         print("bin_lo bin_hi count mae")
         for b in stats.bins:
             print(f"{b['lo']:g} {b['hi']:g} {b['count']} "
@@ -155,7 +156,7 @@ def cmd_experiment(args):
     else:
         r, _, _ = evaluation.run_experiment(
             scenarios[name], tracker_cfg, reid_cfg, seed=args.seed,
-            out_dir=os.path.join(out_dir, name))
+            out_dir=os.path.join(args.out_dir, name))
         print(f"{name} precision@50px {r.ap:.3f}")
     return EXIT_OK
 
@@ -169,7 +170,7 @@ def cmd_validate_config(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="mpfollow",
         description="Width-based monocular person following toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -183,7 +184,6 @@ def build_parser():
     # Flags that track and experiment share.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out-dir")
     common.add_argument("--delta-iou", type=float)
     common.add_argument("--r-body", type=float)
     common.add_argument("--delta-switch", type=float)
@@ -201,13 +201,14 @@ def build_parser():
     t.add_argument("--no-reid", action="store_true",
                    help="disable re-identification (pure tracking)")
     t.add_argument("--target-person", type=int, default=0)
-    t.add_argument("-o", "--out")
+    t.add_argument("-o", "--out", default="tracks.jsonl")
     t.set_defaults(func=cmd_track)
 
     e = sub.add_parser("experiment", parents=[common],
                        help="run a named experiment")
     e.add_argument("name", help="st-sweep | slt-vs-st | range-accuracy | "
                                 "<built-in scenario name>")
+    e.add_argument("--out-dir", default=".")
     e.set_defaults(func=cmd_experiment)
 
     v = sub.add_parser("validate-config", help="validate a config file")
@@ -218,9 +219,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:  # validate-config takes no seed
             raise CliError("usage", "--seed must be at least 0", EXIT_USAGE)
         return args.func(args)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pipeline import FollowPipeline
+from .seqio import write_jsonl, write_text
 from .sim import Scenario, generate
 
 METRICS_FORMAT = "mpfollow-metrics-1"
@@ -134,26 +135,24 @@ def run_experiment(scenario: Scenario, tracker_cfg=None, reid_cfg=None, seed=0,
     return reid_result, stats, trace
 
 
-def metrics_text(reid_result: ReidResult, stats: RangeErrorStats) -> str:
-    """Flat key-value rendering of the metrics (deterministic)."""
-    lines = [f"format {METRICS_FORMAT}"]
-    lines.append(f"precision_threshold_px {THRESHOLD_PX:g}")
-    lines.append(f"ap {reid_result.ap:.6f}")
-    lines.append(f"precision@{THRESHOLD_PX:g}px {reid_result.ap:.6f}")
+def metrics_lines(reid_result: ReidResult, stats: RangeErrorStats):
+    """metrics.txt line by line: a flat key-value rendering (deterministic)."""
+    yield f"format {METRICS_FORMAT}\n"
+    yield f"precision_threshold_px {THRESHOLD_PX:g}\n"
+    yield f"ap {reid_result.ap:.6f}\n"
+    yield f"precision@{THRESHOLD_PX:g}px {reid_result.ap:.6f}\n"
     for b in stats.bins:
         key = f"range_bin_{b['lo']:g}_{b['hi']:g}"
-        lines.append(f"{key}_count {b['count']}")
-        lines.append(f"{key}_mae {b['mean_abs_error']:.6f}")
-        lines.append(f"{key}_var {b['variance']:.6f}")
-        lines.append(f"{key}_q1 {b['q1']:.6f}")
-        lines.append(f"{key}_median {b['median']:.6f}")
-        lines.append(f"{key}_q3 {b['q3']:.6f}")
-    return "\n".join(lines) + "\n"
+        yield f"{key}_count {b['count']}\n"
+        yield f"{key}_mae {b['mean_abs_error']:.6f}\n"
+        yield f"{key}_var {b['variance']:.6f}\n"
+        yield f"{key}_q1 {b['q1']:.6f}\n"
+        yield f"{key}_median {b['median']:.6f}\n"
+        yield f"{key}_q3 {b['q3']:.6f}\n"
 
 
 def write_artifacts(out_dir, reid_result, stats, trace):
-    from .seqio import _atomic_write, write_jsonl
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "metrics.txt"),
-                  metrics_text(reid_result, stats))
+    write_text(metrics_lines(reid_result, stats),
+               os.path.join(out_dir, "metrics.txt"))
     write_jsonl(trace, os.path.join(out_dir, "trace.jsonl"))

@@ -14,8 +14,7 @@ import json
 import math
 import os
 import re
-import tempfile
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 import yaml
@@ -51,23 +50,28 @@ class SchemaError(ValueError):
 
 
 def check_output(path):
-    """Refuse, creating nothing, an output path that is a directory or whose
-    directory is missing; the OSError names path."""
-    if os.path.isdir(path) or not os.path.isdir(
-            os.path.dirname(os.path.abspath(path))):
-        code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
-        raise OSError(code, os.strerror(code), path)
+    """Refuse, creating nothing, an output path that open() could not create
+    or that is a directory, with open()'s errno; the OSError names path."""
+    try:
+        if os.path.isdir(path) or not os.path.basename(path):  # "", "x/"
+            code = errno.EISDIR if path else errno.ENOENT
+            raise OSError(code, os.strerror(code))
+        os.stat(os.path.join(os.path.dirname(path) or os.curdir, ""))
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
 
 
-def _atomic_write(path, text):
-    """Write text to path through a temporary file beside it; an OSError
-    names path, and no temporary file is left."""
+def write_text(chunks, path):
+    """Write text chunks to path as they come, through a temporary file that
+    open() makes beside it, so path gets open()'s mode; an OSError names
+    path, and no temporary file is left, also when chunks raises."""
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".tmp-")
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        name = os.path.join(os.path.dirname(path),
+                            ".tmp-" + os.urandom(8).hex())
+        with open(name, "x") as f:
+            tmp = name
+            f.writelines(chunks)
         os.replace(tmp, path)
     except OSError as e:
         raise OSError(e.errno, e.strerror, path) from e
@@ -191,13 +195,17 @@ def frame_to_record(frame: FrameRecord) -> dict:
 
 
 def write_jsonl(rows, path):
-    """Write rows as JSON lines; no rows write one empty line."""
-    _atomic_write(path, "\n".join(map(json.dumps, rows)) + "\n")
+    """Write rows as JSON lines, each as it is dumped, and return how many
+    there were; no rows write one empty line."""
+    n = count()  # zip draws each row before its number: n counts the rows
+    lines = (json.dumps(row) + "\n" for row, _ in zip(rows, n))
+    write_text(chain([next(lines, "\n")], lines), path)
+    return next(n)
 
 
 def write_sequence(frames, path):
-    """The header, then one line per frame; each record is dropped once
-    dumped, so the frames' records are never all held at once."""
+    """The header, then one line per frame, each dumped and written as it
+    comes, so the frames' records and text are never all held at once."""
     write_jsonl(chain([{"format": SEQUENCE_FORMAT}],
                       map(frame_to_record, frames)), path)
 

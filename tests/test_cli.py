@@ -10,6 +10,7 @@ import pytest
 import mpfollow
 from mpfollow import evaluation, sim
 from mpfollow.cli import EXIT_OK, EXIT_RUNTIME, EXIT_SCHEMA, EXIT_USAGE, main
+from mpfollow.pipeline import FollowPipeline
 from mpfollow.reid import ReidConfig
 from mpfollow.seqio import load_scenario
 from mpfollow.tracker import TrackerConfig
@@ -317,6 +318,51 @@ class TestTrack:
         assert sorted(cfg["reid"]) == ["capacity", "delta_id", "delta_switch",
                                        "lam", "mode", "n_id"]
 
+    def test_zero_rows_write_one_empty_line(self, tmp_path, capsys):
+        # No track is confirmed before its second hit, so one frame gives
+        # no rows.
+        seq, out = tmp_path / "seq.jsonl", tmp_path / "t.jsonl"
+        seq.write_text(ONE_FRAME_SEQUENCE)
+        code, stdout, _ = run(capsys, "track", str(seq), "--no-reid",
+                              "-o", str(out))
+        assert (code, stdout) == (EXIT_OK, f"wrote 0 track rows to {out}\n")
+        assert out.read_bytes() == b"\n"
+
+    def test_output_defaults_to_tracks_jsonl(self, tmp_path, capsys,
+                                             monkeypatch):
+        # -o is the one name for the output file: no --out-dir, no variable.
+        seq = tmp_path / "seq.jsonl"
+        seq.write_text(ONE_FRAME_SEQUENCE)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MPFOLLOW_OUT_DIR", str(tmp_path / "env"))
+        code, stdout, _ = run(capsys, "track", str(seq), "--no-reid")
+        assert (code, stdout) == (EXIT_OK, "wrote 0 track rows to "
+                                  "tracks.jsonl\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "seq.jsonl", "tracks.jsonl"]
+
+    def test_failed_run_leaves_the_old_output(self, tmp_path, capsys,
+                                              monkeypatch, sequence):
+        # Rows are written as frames are tracked, into a temporary file
+        # that only a finished run renames to -o.
+        out = tmp_path / "t.jsonl"
+        out.write_bytes(b"old\n")
+        calls = []
+
+        def process_frame(self, record):
+            calls.append(record.frame_index)
+            if len(calls) == 100:
+                raise RuntimeError("frame failed")
+            return original(self, record)
+
+        original = FollowPipeline.process_frame
+        monkeypatch.setattr(FollowPipeline, "process_frame", process_frame)
+        with pytest.raises(RuntimeError, match="frame failed"):
+            run(capsys, "track", str(sequence), "-o", str(out))
+        assert out.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "seq.jsonl", "t.jsonl"]
+
     def test_schema_error_on_bad_sequence(self, tmp_path, capsys):
         seq = tmp_path / "bad.jsonl"
         seq.write_text("{not json\n")
@@ -341,11 +387,16 @@ class TestExperiment:
         assert code == EXIT_USAGE
         assert "error[usage]" in stderr
 
-    def test_out_dir_env_var(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MPFOLLOW_OUT_DIR", str(tmp_path))
+    def test_out_dir_defaults_to_the_working_directory(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # --out-dir is the one name for where artifacts go: no variable.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MPFOLLOW_OUT_DIR", str(tmp_path / "env"))
         code, _, _ = run(capsys, "experiment", "lab_corridor_like")
         assert code == EXIT_OK
-        assert (tmp_path / "lab_corridor_like" / "metrics.txt").exists()
+        assert sorted(p.name for p in (tmp_path / "lab_corridor_like")
+                      .iterdir()) == ["metrics.txt", "trace.jsonl"]
+        assert not (tmp_path / "env").exists()
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         run(capsys, "experiment", "lab_corridor_like", "--seed", "2",
@@ -733,6 +784,44 @@ class TestExitCodes:
             "dir", "file", "seq.jsonl"]
 
 
+class TestUsageErrors:
+    """argparse's usage errors exit 3 with error[usage], as every other
+    usage error does; 2 is for a malformed input file."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["track", "SEQ", "--capacity", "abc"],
+         "mpfollow track: argument --capacity: invalid int value: 'abc'"),
+        (["track", "SEQ", "--bogus"],
+         "mpfollow: unrecognized arguments: --bogus"),
+        (["track", "SEQ", "--out-dir", "OUT"],
+         "mpfollow: unrecognized arguments: --out-dir OUT"),
+        (["experiment"], "mpfollow experiment: the following arguments are "
+         "required: name"),
+        (["generate", "room_like"], "mpfollow generate: the following "
+         "arguments are required: -o/--out"),
+        ([], "mpfollow: the following arguments are required: command")],
+        ids=["bad-int", "unknown-flag", "track-out-dir", "no-experiment",
+             "no-output", "no-command"])
+    def test_exit_3(self, tmp_path, argv, message):
+        seq = tmp_path / "seq.jsonl"
+        seq.write_text(ONE_FRAME_SEQUENCE)
+        out = tmp_path / "out"
+        argv = [{"SEQ": str(seq), "OUT": str(out)}.get(a, a) for a in argv]
+        proc = run_process(*argv)
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr == "error[usage]: " + message.replace(
+            "OUT", str(out)) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["seq.jsonl"]
+
+    @pytest.mark.parametrize("argv", [[], ["track"], ["experiment"]],
+                             ids=["mpfollow", "track", "experiment"])
+    def test_help_exits_0(self, argv):
+        proc = run_process(*argv, "--help")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout.startswith("usage: mpfollow")
+        assert ("--out-dir" in proc.stdout) == (argv == ["experiment"])
+
+
 class TestSetupOrder:
     """track checks its configs, its output path, its calibration and its
     sequence, in that order, and each before it reads the next; generate
@@ -780,6 +869,38 @@ class TestSetupOrder:
         assert stderr == ("error[io]: [Errno 2] No such file or directory: "
                           f"'{out}'\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["", "new/"])
+    def test_track_refuses_an_output_that_names_no_file(self, tmp_path, capsys,
+                                                        monkeypatch, out):
+        # Refused before the sequence, which is absent, is opened, with the
+        # error open() gives.
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run(capsys, "track", "absent.jsonl", "-o", out)
+        with pytest.raises(OSError) as opened:
+            open(out, "w")
+        assert (code, stdout) == (EXIT_RUNTIME, "")
+        assert stderr == f"error[io]: {opened.value}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["generate", "track", "experiment"])
+    def test_output_under_a_file_is_not_a_directory(self, tmp_path, capsys,
+                                                    command):
+        # The errno is the one open() or makedirs gives for the path, and
+        # the path named is the one given.
+        seq = tmp_path / "seq.jsonl"
+        seq.write_text(ONE_FRAME_SEQUENCE)
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / ("sub" if command == "experiment"
+                                    else "x.jsonl")
+        argv = {"generate": ["generate", "room_like", "-o"],
+                "track": ["track", str(seq), "--no-reid", "-o"],
+                "experiment": ["experiment", "room_like", "--out-dir"]}
+        code, stdout, stderr = run(capsys, *argv[command], str(out))
+        assert (code, stdout) == (EXIT_RUNTIME, "")
+        assert stderr == f"error[io]: [Errno 20] Not a directory: '{out}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "afile", "seq.jsonl"]
 
     @pytest.mark.parametrize("command", ["generate", "track"])
     def test_bad_output_error_names_the_path_given(self, tmp_path, capsys,

@@ -8,7 +8,7 @@ from mpfollow.evaluation import (
     RANGE_BINS,
     EvaluationError,
     _gt_target_center,
-    metrics_text,
+    metrics_lines,
     range_error_stats,
     reid_precision,
     run_experiment,
@@ -108,7 +108,7 @@ class TestRunExperiment:
     def test_metrics_text_parses_as_key_value(self):
         sc = builtin_scenarios()["lab_corridor_like"]
         reid, stats, _ = run_experiment(sc, seed=0)
-        text = metrics_text(reid, stats)
+        text = "".join(metrics_lines(reid, stats))
         lines = text.strip().splitlines()
         assert lines[0] == "format mpfollow-metrics-1"
         for line in lines:

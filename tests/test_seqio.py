@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -544,3 +546,75 @@ class TestAtomicWrite:
         code = e.value.errno
         assert str(e.value) == f"[Errno {code}] {os.strerror(code)}: '{path}'"
         assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+
+    @staticmethod
+    def rows(n, fail_after=None):
+        # Made one at a time, as the track command makes its rows.
+        for i in range(n):
+            if i == fail_after:
+                raise RuntimeError("tracking failed")
+            yield {"frame_index": i, "track_id": i % 7, "x": 1.234567,
+                   "y": -0.5, "box": [100.123, 200.456, 180.789, 400.012],
+                   "is_target": None}
+
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_rows_are_written_in_memory_that_does_not_grow(self, tmp_path, n):
+        # 20,000 rows are 2.5 MB of text; held whole, even 2,000 peaked at
+        # over 600 KB. Written line by line, both stay under one bound.
+        path = tmp_path / "rows.jsonl"
+        tracemalloc.start()
+        try:
+            assert write_jsonl(self.rows(n), str(path)) == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert path.read_bytes() == b"".join(
+            json.dumps(row).encode() + b"\n" for row in self.rows(n))
+
+    @pytest.mark.parametrize("fail_after", [0, 1, 5000])
+    def test_rows_that_raise_leave_the_old_file(self, tmp_path, fail_after):
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b"old\n")
+        with pytest.raises(RuntimeError, match="tracking failed"):
+            write_jsonl(self.rows(10000, fail_after), str(path))
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+    @pytest.mark.parametrize("rows, text", [([], b"\n"),
+                                            ([{"a": 1}], b'{"a": 1}\n')])
+    def test_rows_and_their_count(self, tmp_path, rows, text):
+        path = tmp_path / "rows.jsonl"
+        assert write_jsonl(iter(rows), str(path)) == len(rows)
+        assert path.read_bytes() == text
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000],
+                             ids="{:03o}".format)
+    def test_output_gets_the_mode_open_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "w") as f:
+                f.write("x\n")
+            write_jsonl([{"a": 1}], str(tmp_path / "rows.jsonl"))
+            seqio.write_text(["x\n"], str(tmp_path / "text"))
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode)
+                 for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(("plain", "rows.jsonl", "text"),
+                                      0o666 & ~umask)
+
+    @pytest.mark.parametrize("target", [
+        "file/x.jsonl", "file/sub/x.jsonl", "nodir/x.jsonl", "dir", "dir/",
+        "new/", "file/", ""])
+    def test_check_output_gives_the_errno_open_gives(self, tmp_path,
+                                                     monkeypatch, target):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(OSError) as opened:
+            open(target, "w")
+        with pytest.raises(OSError) as checked:
+            seqio.check_output(target)
+        assert str(checked.value) == str(opened.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]

@@ -19,6 +19,9 @@ the digest covers:
   misses are exercised here;
 - the bytes ``mpfollow track`` writes for room_like and lab_corridor_like
   sequences by default, with ``--no-reid`` and with ``--mode SLT``;
+- the same for a one-frame sequence, room_like's header and first frame:
+  no track is confirmed before its second hit, so each of these outputs
+  has zero rows, which ``track`` writes as one empty line;
 - the exit code, stdout and artifacts of ``mpfollow experiment``
   st-sweep, slt-vs-st and range-accuracy;
 - for a scenario file that sets every key off its default: the repr of
@@ -220,6 +223,17 @@ def digest(src):
                 h.update(f"track {name} {' '.join(flags)}|{code}|".encode())
                 with open(out, "rb") as f:
                     h.update(f.read())
+        seq = os.path.join(tmp, "one_frame.jsonl")
+        with open(os.path.join(tmp, "room_like.jsonl")) as f:
+            header_and_frame = [next(f), next(f)]
+        with open(seq, "w") as f:
+            f.writelines(header_and_frame)
+        for flags in TRACK_FLAGS:
+            out = os.path.join(tmp, "tracks.jsonl")
+            code, _ = _cli("track", seq, "-o", out, *flags)
+            h.update(f"track one_frame {' '.join(flags)}|{code}|".encode())
+            with open(out, "rb") as f:
+                h.update(f.read())
 
         for name in EXPERIMENTS:
             out_dir = os.path.join(tmp, "experiments", name)
