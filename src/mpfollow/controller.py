@@ -7,6 +7,7 @@ width-based range estimate assumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -32,10 +33,13 @@ class PidGains:
     def __post_init__(self):
         for name in ("kp_linear", "ki_linear", "kd_linear",
                      "kp_angular", "ki_angular", "kd_angular"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.integral_limit <= 0 or self.v_max <= 0 or self.omega_max <= 0:
-            raise ValueError("limits must be positive")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        for name in ("integral_limit", "v_max", "omega_max"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not math.isfinite(self.x_setpoint):
+            raise ValueError("x_setpoint must be finite")
 
 
 @dataclass
@@ -62,9 +66,9 @@ def compute_command(target_xy, dt, gains: PidGains, state: PidState):
     y left). Returns (ControlCommand, new PidState). Integrators are
     clamped for anti-windup and commands clamped to the velocity limits.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     x, y = float(target_xy[0]), float(target_xy[1])
+    if not (0 < dt < math.inf and math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("dt must be positive and finite, and the target finite")
 
     e_lin = x - gains.x_setpoint
     e_ang = y   # positive y (target to the left) demands a left turn

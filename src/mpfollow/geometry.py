@@ -76,7 +76,7 @@ def _check_rotation(R, name):
 @dataclass(frozen=True)
 class Extrinsics:
     """World->robot and robot->camera rigid transforms, (3, 3) and (3,) arrays,
-    unchecked: seqio.load_calibration and FollowPipeline check a mount."""
+    unchecked: seqio.load_calibration and Tracker check a mount."""
 
     R_world_robot: np.ndarray
     t_world_robot: np.ndarray
@@ -217,16 +217,18 @@ def position_block(H):
     return a, b, c, d
 
 
-def spanning_block(H, name):
-    """position_block(H); GeometryError naming the mount unless |det M| >
-    1e-9. M's rows are parts of rotation rows, so |det M| <= 1, and a track
-    seeded as M^-1 y below that is mostly rounding. The robot's heading
-    only rotates M's columns: det M is the mount's."""
-    a, b, c, d = position_block(H)
+def check_mount(R_robot_cam, name):
+    """R_robot_cam as an array; GeometryError naming it unless it is a rotation
+    with |det M| > 1e-9 for H = [M 0] (|det M| <= 1: below that, a track
+    seeded as M^-1 y is mostly rounding). The robot's heading only rotates
+    M's columns, so det M is the mount's: checked once, where it enters."""
+    R = _check_rotation(R_robot_cam, name)
+    a, b, c, d = position_block(build_observation_model(
+        robot_pose_extrinsics(0, 0, 0, R)))
     if not abs(a * d - b * c) > 1e-9:
-        raise GeometryError(f"{name}: the camera's x and z axes do not span "
-                            "the ground plane")
-    return a, b, c, d
+        raise GeometryError(f"{name} sees the ground plane edge-on: the "
+                            "camera's x and z axes do not span it")
+    return R
 
 
 def project_person(world_pos, r: float, h: float, intr: CameraIntrinsics,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, reid
-from .geometry import CameraIntrinsics, Extrinsics, _check_rotation
+from .geometry import CameraIntrinsics, Extrinsics
 from .reid import (
     FollowerMode,
     FollowerState,
@@ -38,7 +38,7 @@ class FrameResult:
 class FollowPipeline:
     """Stateful person-following estimator over a detection sequence. The
     camera mount (an Extrinsics' R_robot_cam and t_robot_cam, as
-    seqio.load_calibration returns) is checked here once, not per frame."""
+    seqio.load_calibration returns) is checked once, by the Tracker."""
 
     def __init__(self, intr: CameraIntrinsics,
                  tracker_cfg: TrackerConfig | None = None,
@@ -52,13 +52,10 @@ class FollowPipeline:
         self.reid_cfg = reid_cfg or ReidConfig()
         self.reid_enabled = reid_enabled
         self.target_person_id = target_person_id
+        # Without a robot_pose the robot stays at the origin.
         mount = mount or geometry.robot_pose_extrinsics(0, 0, 0)
-        self.mount = (_check_rotation(mount.R_robot_cam, "R_robot_cam"),
-                      mount.t_robot_cam)
-        # Without a robot_pose the robot stays at the origin. The Tracker
-        # refuses a mount whose H has rank < 2.
         self.tracker = Tracker(intr, geometry.robot_pose_extrinsics(
-            0, 0, 0, *self.mount), self.tracker_cfg)
+            0, 0, 0, mount.R_robot_cam, mount.t_robot_cam), self.tracker_cfg)
         self.extractor = PassthroughExtractor()
         self.sample_set = SampleSet(self.reid_cfg.capacity, self.reid_cfg.mode,
                                     rng=np.random.default_rng(seed))
@@ -69,9 +66,7 @@ class FollowPipeline:
     def process_frame(self, record) -> FrameResult:
         """record is a sim.FrameRecord (descriptors may be None when re-ID is off)."""
         if record.robot_pose is not None:
-            x, y, theta = record.robot_pose
-            self.tracker.set_extrinsics(
-                geometry.robot_pose_extrinsics(x, y, theta, *self.mount))
+            self.tracker.set_pose(*record.robot_pose)
 
         dets = DetectionSet([d.box for d in record.detections],
                             record.timestamp)

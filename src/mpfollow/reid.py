@@ -66,8 +66,7 @@ class ReidConfig:
         for name in ("delta_switch", "delta_id"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ReidError(f"{name} must be in [0, 1]")
-        if not MIN_LAM <= self.lam < math.inf:
-            raise ReidError(f"lam must be finite and at least {MIN_LAM:g}")
+        RidgeClassifier(self.lam)  # the one lam rule: ReidError below MIN_LAM
         if self.n_id < 1 or self.capacity < 1:
             raise ReidError("n_id and capacity must be at least 1")
         if self.capacity > MAX_CAPACITY:
@@ -180,6 +179,10 @@ class RidgeClassifier:
     lam: float = 1e-2
     w: np.ndarray | None = None
     b: float = 0.0
+
+    def __post_init__(self):
+        if not MIN_LAM <= self.lam < math.inf:
+            raise ReidError(f"lam must be finite and at least {MIN_LAM:g}")
 
     @property
     def trained(self):

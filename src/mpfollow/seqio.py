@@ -26,10 +26,8 @@ from .geometry import (
     BoundingBox,
     CameraIntrinsics,
     GeometryError,
-    _check_rotation,
-    build_observation_model,
+    check_mount,
     robot_pose_extrinsics,
-    spanning_block,
 )
 from .sim import (
     Detection,
@@ -62,17 +60,20 @@ def check_output(path):
 
 
 def write_text(chunks, path):
-    """Write text chunks to path as they come, through a temporary file that
-    open() makes beside it, so path gets open()'s mode; an OSError names
-    path, and no temporary file is left, also when chunks raises."""
+    """Write text chunks to path as they come, as open(path, "w") would but
+    for hard links, through a temporary file that then replaces the file
+    path names (a symbolic link's target), with its permission bits if it
+    exists; an OSError names path, and no temporary file is left."""
     tmp = None
     try:
-        name = os.path.join(os.path.dirname(path),
-                            ".tmp-" + os.urandom(8).hex())
+        real = os.path.realpath(path)
+        name = os.path.join(os.path.dirname(real), ".tmp-" + os.urandom(8).hex())
         with open(name, "x") as f:
             tmp = name
+            if os.path.exists(real):
+                os.chmod(tmp, os.stat(real).st_mode & 0o777)
             f.writelines(chunks)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except OSError as e:
         raise OSError(e.errno, e.strerror, path) from e
     finally:
@@ -316,8 +317,8 @@ _Loader.add_implicit_resolver(
 
 def _parse_rotation(value, field):
     """A mount rotation: 'forward', {rpy: [3 numbers]} or 9 numbers
-    (row-major). One given by numbers must be a rotation matrix, and the
-    camera's x and z axes must span the ground plane."""
+    (row-major), checked by geometry.check_mount: a rotation whose camera
+    x and z axes span the ground plane."""
     if value == "forward":
         return FORWARD_CAMERA_ROTATION
     if type(value) is dict:
@@ -334,12 +335,9 @@ def _parse_rotation(value, field):
             field, "expected 9 numbers (row-major), {rpy: [3 numbers]} "
             "or 'forward'")).reshape(3, 3)
     try:
-        R = _check_rotation(R, f"field '{field}': the rotation")
-        spanning_block(build_observation_model(robot_pose_extrinsics(
-            0, 0, 0, R)), f"field '{field}'")
+        return check_mount(R, f"field '{field}': the rotation")
     except GeometryError as e:
         raise SchemaError(str(e)) from e
-    return R
 
 
 def _mount(r_robot_cam=FORWARD_CAMERA_ROTATION, t_robot_cam=(0.0, 0.0, 0.0)):

@@ -70,13 +70,18 @@ def _interpolate(waypoints, t):
     raise AssertionError("unreachable")
 
 
-def _check_rows(rows, field, names):
-    """Refuse a waypoint row that does not hold one finite value per name."""
+def _check_path(rows, field, names):
+    """Refuse a waypoint path that is empty, has a row that does not hold
+    one finite value per name, or goes back in time."""
+    if not rows:
+        raise ScenarioError(f"field '{field}': empty")
     for i, row in enumerate(rows):
         if len(row) != len(names):
             raise ScenarioError(f"field '{field}[{i}]': expected [{', '.join(names)}]")
         if not all(map(math.isfinite, row)):
             raise ScenarioError(f"field '{field}[{i}]': {list(row)} is not finite")
+    if any(b[0] < a[0] for a, b in zip(rows, rows[1:])):
+        raise ScenarioError(f"field '{field}': timestamps not monotone")
 
 
 @dataclass
@@ -150,18 +155,11 @@ class Scenario:
             fail("target_id", "no pedestrian with this id")
         for k, p in enumerate(self.pedestrians):
             field = f"pedestrians[{k}]"
-            _check_rows(p.waypoints, f"{field}.waypoints", ("t", "x", "y"))
-            times = [w[0] for w in p.waypoints]
-            if not p.waypoints:
-                fail(f"{field}.waypoints", "empty")
-            if any(b < a for a, b in zip(times, times[1:])):
-                fail(f"{field}.waypoints", "timestamps not monotone")
+            _check_path(p.waypoints, f"{field}.waypoints", ("t", "x", "y"))
             for name in ("radius", "height"):
                 if not 0 < getattr(p, name) < math.inf:
                     fail(f"{field}.{name}", "must be in (0, inf)")
-        if not self.robot_path.waypoints:
-            fail("robot_path", "empty")
-        _check_rows(self.robot_path.waypoints, "robot_path", ("t", "x", "y", "theta"))
+        _check_path(self.robot_path.waypoints, "robot_path", ("t", "x", "y", "theta"))
         for key, events in (("occlusions", self.occlusions),
                             ("drifts", self.drifts)):
             for k, ev in enumerate(events):

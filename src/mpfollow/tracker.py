@@ -20,16 +20,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import geometry  # robot_pose_extrinsics is hooked there by framebench
 from .geometry import (
     MAX_MAGNITUDE,
     CameraIntrinsics,
     Extrinsics,
     build_observation_model,
+    check_mount,
     iou,
     position_block,
     process_measurement,  # not called here: framebench's tracer hooks this name
     process_measurements,
-    spanning_block,
 )
 
 
@@ -340,26 +341,29 @@ def update(track: TrackState, y, H, measurement_noise_std) -> TrackState:
 
 
 class Tracker:
-    """Stateful multi-person tracker over a detection sequence."""
+    """Stateful multi-person tracker over a detection sequence. Its camera
+    mount is checked once, here; each frame only poses the robot (set_pose)."""
 
     def __init__(self, intr: CameraIntrinsics, extr: Extrinsics,
                  cfg: TrackerConfig | None = None):
+        check_mount(extr.R_robot_cam, "R_robot_cam")
         self.intr = intr
         self.cfg = cfg or TrackerConfig()
         self.tracks: list[TrackState] = []
         self._next_id = 1
         self._last_timestamp = None
-        self.set_extrinsics(extr)
+        self.extr, self.H = extr, build_observation_model(extr)
+        self._M = position_block(self.H)
 
-    def set_extrinsics(self, extr: Extrinsics):
-        """Install the current robot pose; H depends on it. A mount whose H
-        has rank < 2 raises GeometryError and leaves the tracker as it was."""
-        H = build_observation_model(extr)
-        M = spanning_block(H, "R_robot_cam")
-        self.extr, self.H, self._M = extr, H, M
+    def set_pose(self, x, y, theta):
+        """Install the next frame's robot pose on the mount; H depends on it."""
+        self.extr = geometry.robot_pose_extrinsics(
+            x, y, theta, self.extr.R_robot_cam, self.extr.t_robot_cam)
+        self.H = build_observation_model(self.extr)
+        self._M = position_block(self.H)
 
     def _new_track(self, y):
-        # Seed the world position by inverting M, of rank 2 by set_extrinsics.
+        # Seed the world position by inverting M, of rank 2 by check_mount.
         a, b, c, d = self._M
         det = a * d - b * c
         y0, y1 = y

@@ -632,6 +632,9 @@ class TestValidateConfig:
         ("duration: 1.0\ntarget_id: 7\npedestrians:\n"
          "  - {id: 7, waypoints: [[1.0, 3.0, 0.0], [0.0, 3.0, 0.0]]}\n",
          "pedestrians[0].waypoints"),
+        # The robot's path keeps the pedestrians' rule: times do not decrease.
+        ("duration: 1.0\nrobot_path: [[0.0, 0.0, 0.0, 0.0],\n"
+         "  [10.0, 1.0, 0.0, 0.0], [5.0, 2.0, 0.0, 0.0]]\n", "robot_path"),
         ("duration: 1.0\nocclusions: [{ped_id: 3, t_start: 0.0, t_end: 1.0}]\n",
          "occlusions[0].ped_id"),
         # A drift ends after it starts, blends by 0 to 1 and ramps up over

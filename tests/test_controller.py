@@ -80,6 +80,22 @@ class TestComputeCommand:
         with pytest.raises(ValueError):
             PidGains(v_max=0.0)
 
+    @pytest.mark.parametrize("name", [
+        "kp_linear", "ki_linear", "kd_linear", "kp_angular", "ki_angular",
+        "kd_angular", "integral_limit", "v_max", "omega_max", "x_setpoint"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gains_rejected(self, name, value):
+        # A NaN gain made every command clamp to full speed in reverse.
+        with pytest.raises(ValueError, match=name):
+            PidGains(**{name: value})
+
+    @pytest.mark.parametrize("target, dt", [
+        ((3.0, math.nan), 0.1), ((math.nan, 0.5), 0.1), ((math.inf, 0.0), 0.1),
+        ((3.0, -math.inf), 0.1), ((3.0, 0.5), math.nan), ((3.0, 0.5), math.inf)])
+    def test_non_finite_input_rejected(self, target, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite, and the target finite"):
+            compute_command(target, dt, GAINS, PidState())
+
 
 def target_in_robot_frame(target_world, pose):
     dx = target_world[0] - pose[0]

@@ -163,6 +163,15 @@ class TestReidConfig:
                                f"least {MIN_LAM:g}$"):
                 ReidConfig(lam=lam)
 
+    @pytest.mark.parametrize("lam", [0.0, 1e-16, math.nan, math.inf])
+    def test_classifier_keeps_the_lam_floor(self, lam):
+        # One rule at both entries: at 1e-16, train on an SLT set holding
+        # one target and one negative sample hit a singular solve.
+        RidgeClassifier(lam=MIN_LAM)
+        with pytest.raises(ReidError, match="^lam must be finite and at "
+                           f"least {MIN_LAM:g}$"):
+            RidgeClassifier(lam=lam)
+
     def test_slt_runs_at_the_lam_floor(self):
         # SLT keeps a target sample in two rows of X, so G has equal rows;
         # below the floor (at 1e-16 on this scenario) the solve is singular.

@@ -604,6 +604,36 @@ class TestAtomicWrite:
         assert modes == dict.fromkeys(("plain", "rows.jsonl", "text"),
                                       0o666 & ~umask)
 
+    @pytest.mark.parametrize("kind", ["mode-600", "mode-750", "symlink",
+                                      "dangling-symlink"])
+    def test_existing_output_is_written_as_open_writes_it(self, tmp_path, kind):
+        # Through a symbolic link to its target, and with the permission
+        # bits of the file replaced: the tree left is the one open() leaves.
+        trees = []
+        for side in ("open", "write_text"):
+            root = tmp_path / side
+            root.mkdir()
+            out = root / "out"
+            if kind.startswith("mode"):
+                out.write_text("old\n")
+                out.chmod(int(kind[5:], 8))
+            else:
+                if kind == "symlink":
+                    (root / "target").write_text("old\n")
+                    (root / "target").chmod(0o640)
+                out.symlink_to("target")
+            if side == "open":
+                with open(out, "w") as f:
+                    f.write("new\n")
+            else:
+                seqio.write_text(["new\n"], str(out))
+            trees.append({p.name: (stat.S_IMODE(p.lstat().st_mode),
+                                   os.readlink(p) if p.is_symlink()
+                                   else p.read_bytes())
+                          for p in root.iterdir()})
+        assert trees[0] == trees[1]
+        assert b"new\n" in trees[1].get("target", trees[1]["out"])
+
     @pytest.mark.parametrize("target", [
         "file/x.jsonl", "file/sub/x.jsonl", "nodir/x.jsonl", "dir", "dir/",
         "new/", "file/", ""])

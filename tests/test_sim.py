@@ -127,6 +127,18 @@ class TestGenerate:
                 Pedestrian(id=0, waypoints=[(2.0, 0.0, 0.0),
                                             (1.0, 0.0, 0.0)])]), seed=0)
 
+    @pytest.mark.parametrize("path, field, why", [
+        ([], "robot_path", "empty"),
+        ([(0.0, 0.0, 0.0, 0.0), (10.0, 1.0, 0.0, 0.0), (5.0, 2.0, 0.0, 0.0)],
+         "robot_path", "timestamps not monotone"),
+        ([(0.0, 0.0, 0.0)], r"robot_path\[0\]", r"expected \[t, x, y, theta\]"),
+        ([(0.0, 0.0, 0.0, math.nan)], r"robot_path\[0\]", "is not finite")])
+    def test_robot_path_has_the_waypoint_rule(self, path, field, why):
+        # One rule for every waypoint path: a robot path that goes back in
+        # time is refused as a pedestrian's is.
+        with pytest.raises(ScenarioError, match=rf"^field '{field}': .*{why}"):
+            simple_scenario(robot_path=RobotPath(path)).validate()
+
     @pytest.mark.parametrize("change, field", [
         ({"t_end": 0.5}, "t_end"),
         ({"amount": 3.0}, "amount"), ({"amount": 25.0}, "amount"),

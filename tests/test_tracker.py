@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import mpfollow
-from mpfollow import seqio, sim, tracker
+from mpfollow import geometry, seqio, sim, tracker
 from mpfollow.geometry import (
     BoundingBox,
     GeometryError,
@@ -539,9 +539,8 @@ class TestBatchedEquivalence:
         seen, born, coasted_out, dropped, matched = set(), set(), set(), 0, 0
         last_missed = {}
         for f in sim.generate(busy_scene(), 0):
-            pose_extr = robot_pose_extrinsics(*f.robot_pose)
-            batched.set_extrinsics(pose_extr)
-            reference.set_extrinsics(pose_extr)
+            batched.set_pose(*f.robot_pose)
+            reference.set_pose(*f.robot_pose)
             dets = DetectionSet([d.box for d in f.detections], f.timestamp)
             tracks, assoc = batched.step(dets)
             ref_tracks, ref_assoc = reference.step(dets)
@@ -755,20 +754,40 @@ class TestScalarKernels:
         # Both mounts see the ground plane edge-on: H has rank 1 (the
         # second only up to the rounding of cos(pi/2)), so no world
         # position can seed a track. The mount is refused where it is
-        # installed, before the tracker changes any state.
+        # installed, before any frame runs.
         extr = robot_pose_extrinsics(0, 0, 0, R_robot_cam=mount)
         assert np.linalg.matrix_rank(build_observation_model(extr), tol=1e-9) == 1
         with pytest.raises(GeometryError, match="R_robot_cam"):
             Tracker(wide_intr, extr)
         with pytest.raises(GeometryError, match="R_robot_cam"):
             FollowPipeline(wide_intr, mount=extr)
-        tr = Tracker(wide_intr, robot_pose_extrinsics(0, 0, 0))
-        tr.step(DetectionSet([BoundingBox(600, 100, 680, 500)], 0.0))
-        before = (tr.extr, tr.H, tr._M, [(t.mean, t.cov) for t in tr.tracks])
-        with pytest.raises(GeometryError, match="R_robot_cam"):
-            tr.set_extrinsics(extr)
-        assert (tr.extr, tr.H, tr._M,
-                [(t.mean, t.cov) for t in tr.tracks]) == before
+
+    def test_mount_checked_once_per_run(self, monkeypatch):
+        # The mount is checked where it enters; a frame only poses the robot.
+        calls = []
+
+        def counted(R, name):
+            calls.append(name)
+            return geometry.check_mount(R, name)
+        monkeypatch.setattr(tracker, "check_mount", counted)
+        sc = sim.builtin_scenarios()["corridor1_like"]
+        frames = sim.generate(sc, 0)
+        pipe = FollowPipeline(sc.intrinsics, reid_enabled=False)
+        for f in frames:
+            pipe.process_frame(f)
+        assert len(frames) == 600
+        assert calls == ["R_robot_cam"]
+
+    def test_set_pose_at_any_heading(self, wide_intr):
+        # Guard: a heading only rotates M's columns, so a pitched mount that
+        # passed its one check stays of rank 2 at every pose.
+        rng = np.random.default_rng(0)
+        tr = Tracker(wide_intr, robot_pose_extrinsics(
+            0, 0, 0, R_robot_cam=pitched_mount(0.3)))
+        for x, y, theta in rng.uniform(-50, 50, size=(1000, 3)):
+            tr.set_pose(x, y, theta)
+            a, b, c, d = tr._M
+            assert abs(a * d - b * c) > 1e-9
 
     @given(rpy=st.lists(st.floats(-7, 7) | st.sampled_from(
                [0.0, math.pi / 2, -math.pi / 2, math.pi]), min_size=3, max_size=3),
