@@ -6,7 +6,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import evaluation, seqio, sim
 from .pipeline import FollowPipeline
@@ -19,16 +19,21 @@ EXIT_SCHEMA = 2
 EXIT_USAGE = 3
 EXIT_RUNTIME = 4
 
-# Re-ID sweeps: the scenario, the header line and the (mode, capacity) runs.
-SWEEPS = {
-    "st-sweep": ("room_like", "scenario=room_like mode=ST capacity sweep",
-                 [("ST", cap) for cap in (16, 32, 64, 128)]),
-    "slt-vs-st": ("corridor1_like",
-                  "scenario=corridor1_like GRR_SLT_64 vs GRR_ST_64",
-                  [("ST", 64), ("SLT", 64)]),
+# Each experiment: its built-in scenario, its header line (or None) and its
+# runs, each (output subdirectory, label, the TrackerConfig and ReidConfig
+# fields it sets, re-ID on). A built-in scenario's name runs it as one run.
+EXPERIMENTS = {
+    "st-sweep": ("room_like", "scenario=room_like mode=ST capacity sweep", [
+        (f"st_{cap}", f"GRR_ST_{cap}", {}, {"mode": "ST", "capacity": cap},
+         True) for cap in (16, 32, 64, 128)]),
+    "slt-vs-st": (
+        "corridor1_like", "scenario=corridor1_like GRR_SLT_64 vs GRR_ST_64", [
+            (f"{m.lower()}_64", f"GRR_{m}_64", {}, {"mode": m, "capacity": 64},
+             True) for m in ("ST", "SLT")]),
+    "range-accuracy": ("range_sweep", None, [(
+        "range_accuracy", "range-accuracy",
+        {"measurement_noise_std": 0.3, "gate_distance": 2.0}, {}, False)]),
 }
-# Named experiments; `experiment` also runs any built-in scenario by name.
-EXPERIMENTS = (*SWEEPS, "range-accuracy")
 
 
 class CliError(Exception):
@@ -56,22 +61,21 @@ def _resolve_scenario(name_or_path):
 
 def _configs(args):
     """The tracker and re-ID configs from the flags given, or error[config]."""
-    def given(*names):
-        return {n: getattr(args, n) for n in names
-                if getattr(args, n) is not None}
     try:
-        return (TrackerConfig(**given("delta_iou", "r_body")),
-                ReidConfig(**given("delta_switch", "delta_id", "n_id",
-                                   "capacity", "mode", "lam")))
+        return tuple(cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                            if getattr(args, f.name, None) is not None})
+                     for cls in (TrackerConfig, ReidConfig))
     except ValueError as e:
         raise CliError("config", str(e), EXIT_USAGE)
 
 
-def _print_config(args, tracker_cfg, reid_cfg):
-    if args.print_config:
-        resolved = {"tracker": vars(tracker_cfg), "reid": vars(reid_cfg),
-                    "seed": args.seed}
-        print(json.dumps(resolved, indent=2, sort_keys=True))
+def _print_config(args, runs):
+    """Under --print-config, what each (run, tracker config, re-ID config,
+    re-ID on) is given, as one JSON object a run."""
+    for run, tracker, reid, reid_on in runs if args.print_config else ():
+        print(json.dumps({"run": run, "reid_enabled": reid_on,
+                          "seed": args.seed, "tracker": vars(tracker),
+                          "reid": vars(reid)}, indent=2, sort_keys=True))
 
 
 def cmd_generate(args):
@@ -96,7 +100,7 @@ def cmd_track(args):
         raise CliError("config", "re-ID enabled but the sequence carries no "
                        "descriptors (rerun with --no-reid or provide "
                        "descriptors)", EXIT_USAGE)
-    _print_config(args, tracker_cfg, reid_cfg)
+    _print_config(args, [(args.out, tracker_cfg, reid_cfg, not args.no_reid)])
 
     pipe = FollowPipeline(intr, tracker_cfg, reid_cfg,
                           target_person_id=args.target_person,
@@ -122,42 +126,37 @@ def cmd_track(args):
 
 
 def cmd_experiment(args):
-    """Run a named experiment with the configs the flags give; a sweep
-    overrides only the fields it sweeps, and refuses flags for them."""
+    """Run a named experiment or built-in scenario: each run gets the flags'
+    configs with the fields it sets replaced, and a flag for one is refused."""
     tracker_cfg, reid_cfg = _configs(args)
-    scenarios = sim.builtin_scenarios()
-    name = args.name
-    if name not in EXPERIMENTS and name not in scenarios:
+    scenarios, name = sim.builtin_scenarios(), args.name
+    scenario, header, runs = EXPERIMENTS.get(
+        name, (name, None, [(name, name, {}, {}, True)]))
+    if scenario not in scenarios:
         raise CliError("usage", f"unknown experiment '{name}'", EXIT_USAGE)
-    if name in SWEEPS and (args.mode is not None or args.capacity is not None):
-        raise CliError("config", f"experiment {name} sets --mode and "
-                       "--capacity itself", EXIT_USAGE)
+    flagged = {f: getattr(args, f) for run in runs  # set fields with a flag
+               for f in (*run[2], *run[3]) if hasattr(args, f)}
+    if any(value is not None for value in flagged.values()):
+        flags = " and ".join(f"--{f.replace('_', '-')}" for f in flagged)
+        raise CliError("config", f"experiment {name} sets {flags} itself",
+                       EXIT_USAGE)
+    runs = [(subdir, label, replace(tracker_cfg, **tracker),
+             replace(reid_cfg, **reid), reid_on)
+            for subdir, label, tracker, reid, reid_on in runs]
     os.makedirs(args.out_dir, exist_ok=True)  # a bad one fails before any run
-    _print_config(args, tracker_cfg, reid_cfg)
-    if name in SWEEPS:
-        scenario, header, runs = SWEEPS[name]
+    _print_config(args, [run[1:] for run in runs])
+    if header:
         print(header)
-        for mode, cap in runs:
-            r, _, _ = evaluation.run_experiment(
-                scenarios[scenario], tracker_cfg,
-                replace(reid_cfg, mode=mode, capacity=cap), seed=args.seed,
-                out_dir=os.path.join(args.out_dir, f"{mode.lower()}_{cap}"))
-            print(f"GRR_{mode}_{cap} precision@50px {r.ap:.3f}")
-    elif name == "range-accuracy":
-        _, stats, _ = evaluation.run_experiment(
-            scenarios["range_sweep"],
-            replace(tracker_cfg, measurement_noise_std=0.3, gate_distance=2.0),
-            reid_cfg, seed=args.seed, reid_enabled=False,
-            out_dir=os.path.join(args.out_dir, "range_accuracy"))
-        print("bin_lo bin_hi count mae")
-        for b in stats.bins:
-            print(f"{b['lo']:g} {b['hi']:g} {b['count']} "
-                  f"{b['mean_abs_error']:.4f}")
-    else:
-        r, _, _ = evaluation.run_experiment(
-            scenarios[name], tracker_cfg, reid_cfg, seed=args.seed,
-            out_dir=os.path.join(args.out_dir, name))
-        print(f"{name} precision@50px {r.ap:.3f}")
+    for subdir, label, tracker, reid, reid_on in runs:
+        r, stats, _ = evaluation.run_experiment(
+            scenarios[scenario], tracker, reid, seed=args.seed,
+            reid_enabled=reid_on, out_dir=os.path.join(args.out_dir, subdir))
+        if reid_on:
+            print(f"{label} precision@50px {r.ap:.3f}")
+        else:  # a run without re-ID reports its range accuracy
+            print("bin_lo bin_hi count mae", *(
+                f"{b['lo']:g} {b['hi']:g} {b['count']} "
+                f"{b['mean_abs_error']:.4f}" for b in stats.bins), sep="\n")
     return EXIT_OK
 
 

@@ -86,6 +86,7 @@ def compute_command(target_xy, dt, gains: PidGains, state: PidState):
     i_lin = _clamp(state.integral_linear + e_lin * dt, gains.integral_limit)
     i_ang = _clamp(state.integral_angular + e_ang * dt, gains.integral_limit)
 
+    if math.isnan(v) or math.isnan(omega):  # 0 times an infinite derivative
+        raise ValueError("the command is not a number")
     cmd = ControlCommand(_clamp(v, gains.v_max), _clamp(omega, gains.omega_max))
-    new_state = PidState(i_lin, i_ang, e_lin, e_ang)
-    return cmd, new_state
+    return cmd, PidState(i_lin, i_ang, e_lin, e_ang)

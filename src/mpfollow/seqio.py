@@ -246,10 +246,10 @@ def _frame_table():
     def descriptor(value, field):
         """A flat list of numbers with 0 < norm < inf, as a float array."""
         nonlocal size
-        try:
-            sum(value)  # a TypeError unless value holds only numbers
-            d = np.fromiter(value, float, len(value))
-        except (TypeError, OverflowError):
+        try:  # an OverflowError for an integer beyond float's range
+            d = (np.fromiter(value, float, len(value)) if type(value) is list
+                 and _NUMBER.issuperset(map(type, value)) else None)
+        except OverflowError:
             d = None
         if d is None or size not in (None, d.size) or not 0 < d @ d < math.inf:
             _fail(field, "expected a flat list of numbers, as long as the "

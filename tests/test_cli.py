@@ -311,6 +311,8 @@ class TestTrack:
                               "-o", str(tmp_path / "t.jsonl"))
         assert code == EXIT_OK
         cfg = json.loads(stdout[:stdout.index("wrote")])
+        assert (cfg["run"], cfg["seed"], cfg["reid_enabled"]) == (
+            str(tmp_path / "t.jsonl"), 0, True)
         assert cfg["reid"]["capacity"] == 32
         assert cfg["reid"]["mode"] == "SLT"
         assert sorted(cfg["tracker"]) == ["delta_iou", "gate_distance",
@@ -493,22 +495,40 @@ class TestConfigFlags:
                          reid_enabled)
                         for scenario, tracker, reid, reid_enabled in runs]
 
-    @pytest.mark.parametrize("name", ["st-sweep", "slt-vs-st",
-                                      "range-accuracy", "room_like"])
-    def test_print_config_for_every_experiment(self, tmp_path, capsys,
-                                               monkeypatch, name):
-        # The flag-built configs come first, once, before any run's output.
-        monkeypatch.setattr(
-            evaluation, "run_experiment", lambda *args, **kwargs: (
-                SimpleNamespace(ap=0.5), SimpleNamespace(bins=[]), []))
+    @pytest.mark.parametrize("name, labels", [
+        ("st-sweep", [f"GRR_ST_{c}" for c in (16, 32, 64, 128)]),
+        ("slt-vs-st", ["GRR_ST_64", "GRR_SLT_64"]),
+        ("range-accuracy", ["range-accuracy"]),
+        ("room_like", ["room_like"])])
+    def test_print_config_shows_what_each_run_is_given(self, tmp_path, capsys,
+                                                       monkeypatch, name,
+                                                       labels):
+        # One object per run, all before the first run starts, each holding
+        # the seed, configs and re-ID setting that run is given.
+        given = []
+
+        def fake_run(scenario, tracker_cfg, reid_cfg, seed, reid_enabled=True,
+                     out_dir=None):
+            print("run started")
+            given.append({"seed": seed, "reid_enabled": reid_enabled,
+                          "tracker": vars(tracker_cfg),
+                          "reid": vars(reid_cfg)})
+            return SimpleNamespace(ap=0.5), SimpleNamespace(bins=[]), []
+
+        monkeypatch.setattr(evaluation, "run_experiment", fake_run)
         code, stdout, _ = run(capsys, "experiment", name, "--lam", "5",
                               "--r-body", "0.3", "--seed", "2",
                               "--print-config", "--out-dir", str(tmp_path))
         assert code == EXIT_OK
-        cfg, end = json.JSONDecoder().raw_decode(stdout)
-        assert cfg == {"tracker": vars(TrackerConfig(r_body=0.3)),
-                       "reid": vars(ReidConfig(lam=5.0)), "seed": 2}
+        printed, end = [], 0
+        while stdout[end] == "{":
+            cfg, end = json.JSONDecoder().raw_decode(stdout, end)
+            printed.append(cfg)
+            end += 1  # its newline
+        assert [cfg.pop("run") for cfg in printed] == labels
+        assert printed == given
         assert "{" not in stdout[end:]
+        assert stdout[end:].count("run started") == len(labels)
 
     def test_range_accuracy_output_follows_flags(self, tmp_path, capsys):
         outputs = []

@@ -96,6 +96,14 @@ class TestComputeCommand:
         with pytest.raises(ValueError, match="dt must be positive and finite, and the target finite"):
             compute_command(target, dt, GAINS, PidState())
 
+    @pytest.mark.parametrize("gain", ["kd_linear", "kd_angular"])
+    def test_nan_command_term_rejected(self, gain):
+        # With a dt of 1e-310 the derivative is infinite, and a zero gain
+        # times it is NaN, which the clamp read as full speed in reverse.
+        with pytest.raises(ValueError, match="the command is not a number"):
+            compute_command((3.0, 0.5), 1e-310, PidGains(**{gain: 0.0}),
+                            PidState(0.0, 0.0, 0.0, 0.0))
+
 
 def target_in_robot_frame(target_world, pose):
     dx = target_world[0] - pose[0]

@@ -162,7 +162,7 @@ class TestSequenceErrors:
         ("descriptor", [np.inf] + [1.0] * 7), ("descriptor", [1e200] * 8),
         ("descriptor", [1.0] * 7), ("descriptor", ["1.0"] * 8),
         ("descriptor", [[1.0] * 8]), ("descriptor", [10 ** 400] * 8),
-        ("descriptor", 1.0),
+        ("descriptor", 1.0), ("descriptor", [True, False] + [1.0] * 6),
         ("robot_pose", [0, np.nan, 0]), ("robot_pose", ["0", "0", "0"]),
         ("robot_pose", 0.0), ("robot_pose", [0, 0]),
         ("person_id", "0"), ("person_id", 1.5),

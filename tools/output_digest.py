@@ -22,8 +22,10 @@ the digest covers:
 - the same for a one-frame sequence, room_like's header and first frame:
   no track is confirmed before its second hit, so each of these outputs
   has zero rows, which ``track`` writes as one empty line;
-- the exit code, stdout and artifacts of ``mpfollow experiment``
-  st-sweep, slt-vs-st and range-accuracy;
+- the exit code, stdout and artifacts of ``mpfollow experiment`` for
+  each named experiment in the tree's ``cli.EXPERIMENTS`` (st-sweep,
+  slt-vs-st and range-accuracy) and for the built-in scenario
+  lab_corridor_like, which ``experiment`` runs by name;
 - for a scenario file that sets every key off its default: the repr of
   the ``Scenario`` it loads to, the bytes ``mpfollow generate`` writes
   for it, and the bytes ``mpfollow track --calibration`` writes for that
@@ -60,7 +62,7 @@ import tempfile
 MODES = ("ST", "SLT", None)  # None: re-ID off
 TRACKED = ("room_like", "lab_corridor_like")
 TRACK_FLAGS = ((), ("--no-reid",), ("--mode", "SLT"))
-EXPERIMENTS = ("st-sweep", "slt-vs-st", "range-accuracy")
+SCENARIO_EXPERIMENT = "lab_corridor_like"  # a built-in run by name
 CROWD_SEEDS = (0, 1, 2)
 FRAMEBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "framebench")
@@ -173,7 +175,7 @@ def _cli(*argv):
 
 def digest(src):
     _import_from(src)
-    from mpfollow import evaluation, pipeline, seqio, sim
+    from mpfollow import cli, evaluation, pipeline, seqio, sim
     from mpfollow.reid import ReidConfig
     sys.path.insert(0, FRAMEBENCH)  # after the tree's mpfollow is imported
     from workloads import crowd_scenario
@@ -235,7 +237,7 @@ def digest(src):
             with open(out, "rb") as f:
                 h.update(f.read())
 
-        for name in EXPERIMENTS:
+        for name in (*cli.EXPERIMENTS, SCENARIO_EXPERIMENT):
             out_dir = os.path.join(tmp, "experiments", name)
             code, stdout = _cli("experiment", name, "--out-dir", out_dir)
             h.update(f"experiment {name}|{code}|{stdout}".encode())
