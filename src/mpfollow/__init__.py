@@ -1,28 +1,1 @@
 """Width-based monocular person following: tracking, re-ID, simulation, evaluation."""
-
-from .geometry import (
-    BoundingBox,
-    CameraIntrinsics,
-    Extrinsics,
-    build_observation_model,
-    estimate_depth,
-    process_measurement,
-    project_person,
-)
-from .tracker import DetectionSet, Tracker, TrackerConfig, TrackState
-from .reid import FollowerState, ReidConfig, RidgeClassifier, SampleSet
-from .controller import ControlCommand, PidGains, PidState, compute_command
-from .sim import Scenario, builtin_scenarios, generate, step_plant
-from .pipeline import FollowPipeline
-
-__all__ = [
-    "BoundingBox", "CameraIntrinsics", "Extrinsics",
-    "build_observation_model", "estimate_depth", "process_measurement",
-    "project_person", "DetectionSet", "Tracker", "TrackerConfig",
-    "TrackState", "FollowerState", "ReidConfig", "RidgeClassifier",
-    "SampleSet", "ControlCommand", "PidGains", "PidState",
-    "compute_command", "Scenario", "builtin_scenarios", "generate",
-    "step_plant", "FollowPipeline",
-]
-
-__version__ = "0.1.0"

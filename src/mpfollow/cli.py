@@ -95,11 +95,13 @@ def cmd_track(args):
     if args.calibration:
         intr, mount = seqio.load_calibration(args.calibration)
     frames = seqio.read_sequence(args.sequence)
+    person = args.target_person  # designation needs one of its descriptors
     if not args.no_reid and any(f.detections for f in frames) and all(
-            d.descriptor is None for f in frames for d in f.detections):
+            d.descriptor is None or d.person_id != person
+            for f in frames for d in f.detections):
         raise CliError("config", "re-ID enabled but the sequence carries no "
-                       "descriptors (rerun with --no-reid or provide "
-                       "descriptors)", EXIT_USAGE)
+                       f"descriptors of person {person} (rerun with "
+                       "--no-reid or --target-person)", EXIT_USAGE)
     _print_config(args, [(args.out, tracker_cfg, reid_cfg, not args.no_reid)])
 
     pipe = FollowPipeline(intr, tracker_cfg, reid_cfg,
@@ -117,8 +119,7 @@ def cmd_track(args):
                     "x": round(x, 6), "y": round(y, 6),
                     "box": [round(v, 3) for v in box.as_array().tolist()]
                     if box is not None else None,
-                    "is_target": (not args.no_reid
-                                  and tid == result.target_track_id) or None,
+                    "is_target": tid == result.target_track_id or None,
                 }
     count = seqio.write_jsonl(rows(), args.out)
     print(f"wrote {count} track rows to {args.out}")

@@ -131,7 +131,10 @@ def run_experiment(scenario: Scenario, tracker_cfg=None, reid_cfg=None, seed=0,
     stats = range_error_stats(range_pairs)
 
     if out_dir is not None:
-        write_artifacts(out_dir, reid_result, stats, trace)
+        os.makedirs(out_dir, exist_ok=True)
+        write_text(metrics_lines(reid_result, stats),
+                   os.path.join(out_dir, "metrics.txt"))
+        write_jsonl(trace, os.path.join(out_dir, "trace.jsonl"))
     return reid_result, stats, trace
 
 
@@ -149,10 +152,3 @@ def metrics_lines(reid_result: ReidResult, stats: RangeErrorStats):
         yield f"{key}_q1 {b['q1']:.6f}\n"
         yield f"{key}_median {b['median']:.6f}\n"
         yield f"{key}_q3 {b['q3']:.6f}\n"
-
-
-def write_artifacts(out_dir, reid_result, stats, trace):
-    os.makedirs(out_dir, exist_ok=True)
-    write_text(metrics_lines(reid_result, stats),
-               os.path.join(out_dir, "metrics.txt"))
-    write_jsonl(trace, os.path.join(out_dir, "trace.jsonl"))

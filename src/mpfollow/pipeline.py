@@ -61,10 +61,10 @@ class FollowPipeline:
                                     rng=np.random.default_rng(seed))
         self.classifier = RidgeClassifier(lam=self.reid_cfg.lam)
         self.state = FollowerState()
-        self._bootstrapped = False
 
     def process_frame(self, record) -> FrameResult:
-        """record is a sim.FrameRecord (descriptors may be None when re-ID is off)."""
+        """record is a sim.FrameRecord; any detection's descriptor may be
+        None, with re-ID on or off."""
         if record.robot_pose is not None:
             self.tracker.set_pose(*record.robot_pose)
 
@@ -82,30 +82,28 @@ class FollowPipeline:
         if self.classifier.trained:
             scores = {tid: reid.score(self.classifier, desc)
                       for tid, desc in track_desc.items()}
-
-        if not self._bootstrapped:
-            # Operator-style target designation by ground-truth person id.
-            target = next((tid for tid in track_desc if seen[tid].person_id
-                           == self.target_person_id), None)
-            if target is not None:
-                self._bootstrapped = True
-                self.state.mode = FollowerMode.FOLLOWING
-                self.state.target_track_id = target
-        elif self.classifier.trained:
             self.state, target = reid.step_state_machine(
                 self.state, scores, list(track_desc), self.reid_cfg)
         else:
-            # Classifier could not be trained yet (e.g. no negatives seen);
-            # trust pure tracking of the designated target while it lasts.
-            tid = self.state.target_track_id
-            target = tid if tid in seen else None
-            if target is None:
-                self.state.mode = FollowerMode.RE_ID
-                self.state.target_track_id = None
+            target = self._designated(seen, track_desc)
 
         if target is not None:
             self._learn(target, track_desc, record.frame_index, seen)
         return self._result(target, seen, scores)
+
+    def _designated(self, seen, track_desc):
+        """The target before the first fit: until a sample is kept, the
+        target person's first track matched with a descriptor (designation
+        by ground-truth id; its frame's _learn keeps a sample), then that
+        track while it is matched; after that RE_ID, with no target."""
+        tid = self.state.target_track_id if len(self.sample_set) else next(
+            (t for t in track_desc
+             if seen[t].person_id == self.target_person_id), None)
+        target = tid if tid in seen else None
+        self.state.mode = (FollowerMode.RE_ID if target is None
+                           else FollowerMode.FOLLOWING)
+        self.state.target_track_id = target
+        return target
 
     def _learn(self, target_tid, track_desc, frame_index, seen):
         # Negatives are taken nearest the target in the image first.

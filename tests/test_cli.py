@@ -191,6 +191,39 @@ class TestTrack:
                          "-o", str(tmp_path / "t.jsonl"))
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("person", [7, 0])
+    def test_reid_refuses_a_target_it_can_never_designate(
+            self, tmp_path, capsys, person):
+        # Person 0 is seen only without a descriptor, person 1 with one and
+        # person 7 never: designation needs a descriptor of the target.
+        seq, out = tmp_path / "seq.jsonl", tmp_path / "t.jsonl"
+        seq.write_text(ONE_FRAME_SEQUENCE.replace(
+            '{"box": [600, 200, 680, 500]}',
+            '{"box": [600, 200, 680, 500], "person_id": 0}, '
+            '{"box": [300, 200, 380, 500], "person_id": 1, '
+            '"descriptor": [1.0, 0.0]}'))
+        argv = ["track", str(seq), "-o", str(out)]
+        code, _, stderr = run(capsys, *argv, "--target-person", str(person))
+        assert (code, stderr) == (EXIT_USAGE, (
+            "error[config]: re-ID enabled but the sequence carries no "
+            f"descriptors of person {person} (rerun with --no-reid or "
+            "--target-person)\n"))
+        assert not out.exists()
+        code, _, _ = run(capsys, *argv, "--target-person", str(person),
+                         "--no-reid")
+        assert code == EXIT_OK and out.exists()
+        out.unlink()
+        code, _, _ = run(capsys, *argv, "--target-person", "1")
+        assert code == EXIT_OK and out.exists()
+
+    def test_reid_accepts_a_sequence_without_detections(self, tmp_path,
+                                                        capsys):
+        seq, out = tmp_path / "seq.jsonl", tmp_path / "t.jsonl"
+        seq.write_text(ONE_FRAME_SEQUENCE.replace(
+            '{"box": [600, 200, 680, 500]}', ""))
+        code, _, _ = run(capsys, "track", str(seq), "-o", str(out))
+        assert code == EXIT_OK and out.read_bytes() == b"\n"
+
     def test_zero_descriptor_schema_error(self, tmp_path):
         # A malformed descriptor is bad input, refused at load whether or
         # not re-ID runs: exit 2 naming file, line and field, no traceback.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpfollow import reid, sim
+from mpfollow.geometry import BoundingBox
 from mpfollow.pipeline import FollowPipeline
 from mpfollow.reid import (
     MAX_CAPACITY,
@@ -549,3 +550,70 @@ class TestLabeling:
 
     def test_target_missing_returns_empty(self):
         assert label_frame_samples(9, {1: np.array([1.0])}, 0, [1]) == []
+
+
+class TestPreFit:
+    """The follower before the classifier's first fit. Each frame shows
+    standing people, each (person_id, has a descriptor); a track is
+    confirmed, and so matched, from its second frame on."""
+
+    BOXES = {0: BoundingBox(600, 200, 680, 500),
+             1: BoundingBox(300, 200, 380, 500)}
+
+    def run(self, frames):
+        pipe = FollowPipeline(sim.DEFAULT_INTRINSICS, target_person_id=0)
+        results = [pipe.process_frame(sim.FrameRecord(
+            k, 0.1 * k, [sim.Detection(self.BOXES[pid],
+                                       np.eye(4)[pid] if desc else None, pid)
+                         for pid, desc in people], (0.0, 0.0, 0.0), {}))
+            for k, people in enumerate(frames)]
+        assert not pipe.classifier.trained
+        return pipe, [(r.mode, r.target_track_id) for r in results]
+
+    @pytest.mark.parametrize("first", [0, 1, 3])
+    def test_designation_at_first_confirmed_frame_with_descriptor(
+            self, first):
+        pipe, got = self.run([[(0, k >= first)] for k in range(6)])
+        tid = pipe.tracker.confirmed_tracks()[0].id
+        designated = max(first, 1)
+        assert got == [("RE_ID", None)] * designated + [
+            ("FOLLOWING", tid)] * (6 - designated)
+        assert len(pipe.sample_set) == 6 - designated
+
+    def test_matched_person_without_descriptor_not_designated(self):
+        # The other person has descriptors, the target none.
+        pipe, got = self.run([[(0, False), (1, True)]] * 5)
+        assert got == [("RE_ID", None)] * 5
+        assert len(pipe.sample_set) == 0
+
+    def test_target_kept_while_matched_without_descriptor(self):
+        pipe, got = self.run([[(0, k != 3), (1, False)] for k in range(6)])
+        tid = got[1][1]
+        assert tid is not None
+        assert got[1:] == [("FOLLOWING", tid)] * 5
+        assert [s.frame_index for s in pipe.sample_set.samples()] == [
+            1, 2, 4, 5]
+
+    def test_first_loss_is_re_id_for_good(self):
+        # Frame 3 has nobody; the same person (and track) is matched again
+        # from frame 4 on, and is never designated again.
+        frames = [[(0, True)]] * 3 + [[]] + [[(0, True)]] * 4
+        pipe, got = self.run(frames)
+        tid = got[1][1]
+        assert got == [("RE_ID", None)] + [("FOLLOWING", tid)] * 2 + [
+            ("RE_ID", None)] * 5
+        assert [t.id for t in pipe.tracker.confirmed_tracks()] == [tid]
+        assert len(pipe.sample_set) == 2
+
+    def test_one_person_run_loses_the_target_for_good(self):
+        # One person gives no negatives, so the classifier never fits and
+        # the first loss of the designated track is permanent.
+        sc = SCENARIOS["range_sweep"]
+        pipe = FollowPipeline(sc.intrinsics, target_person_id=sc.target_id,
+                              seed=0)
+        results = [pipe.process_frame(f) for f in sim.generate(sc, 0)]
+        assert [k for k, r in enumerate(results)
+                if r.target_track_id is not None] == list(range(1, 245))
+        assert {r.mode for r in results[245:]} == {"RE_ID"}
+        assert not pipe.classifier.trained
+        assert len(pipe.sample_set) == 64
