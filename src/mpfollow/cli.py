@@ -153,7 +153,7 @@ def cmd_experiment(args):
             scenarios[scenario], tracker, reid, seed=args.seed,
             reid_enabled=reid_on, out_dir=os.path.join(args.out_dir, subdir))
         if reid_on:
-            print(f"{label} precision@50px {r.ap:.3f}")
+            print(f"{label} {evaluation.PRECISION_KEY} {r.ap:.3f}")
         else:  # a run without re-ID reports its range accuracy
             print("bin_lo bin_hi count mae", *(
                 f"{b['lo']:g} {b['hi']:g} {b['count']} "

@@ -3,7 +3,8 @@
 Re-ID quality is the fraction of ground-truth frames whose estimated
 target box center falls within 50 px (THRESHOLD_PX) of the ground-truth
 center; frames without an estimate count as failures. Range accuracy is
-the absolute range error binned by true range.
+the absolute range error of the track matched to the target's own
+detection, binned by true range.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from .pipeline import FollowPipeline
 from .seqio import write_jsonl, write_text
 from .sim import Scenario, generate
 
-METRICS_FORMAT = "mpfollow-metrics-1"
+METRICS_FORMAT = "mpfollow-metrics-2"
 THRESHOLD_PX = 50.0
+PRECISION_KEY = f"precision@{THRESHOLD_PX:g}px"
 RANGE_BINS = [(0.5, 1.0)] + [(float(a), float(a + 1)) for a in range(1, 7)]
 
 
@@ -72,13 +74,6 @@ def range_error_stats(pairs) -> RangeErrorStats:
     return RangeErrorStats(bins)
 
 
-def _gt_target_center(record, target_id):
-    for det in record.detections:
-        if det.person_id == target_id:
-            return det.box.center
-    return None
-
-
 def _range(record, xy):
     """The robot's distance to xy in the frame; None if xy or the pose is."""
     if xy is None or record.robot_pose is None:
@@ -91,8 +86,11 @@ def run_experiment(scenario: Scenario, tracker_cfg=None, reid_cfg=None, seed=0,
                    reid_enabled=True, out_dir=None):
     """Run the full pipeline over the frames the scenario generates.
 
-    Returns (ReidResult, RangeErrorStats, trace) where trace is the list
-    of per-frame dicts also written to disk when out_dir is given.
+    Returns (ReidResult or None without re-ID, RangeErrorStats, trace)
+    where trace is the list of per-frame dicts also written to disk when
+    out_dir is given. A frame's range estimate is that of the track
+    matched to the target's own detection (a row's box is its detection's
+    box object); a frame without one has no estimate.
     """
     target_id = scenario.target_id
     pipe = FollowPipeline(scenario.intrinsics, tracker_cfg, reid_cfg,
@@ -102,17 +100,16 @@ def run_experiment(scenario: Scenario, tracker_cfg=None, reid_cfg=None, seed=0,
     reid_frames, range_pairs, trace = [], [], []
     for record in generate(scenario, seed):
         result = pipe.process_frame(record)
-        gt_center = _gt_target_center(record, target_id)
+        det = next((d for d in record.detections
+                    if d.person_id == target_id), None)
+        gt_center = det.box.center if det else None
         est_center = result.target_box.center if result.target_box else None
         reid_frames.append((record.frame_index, est_center, gt_center))
 
         true_range = _range(record, record.pedestrian_positions.get(target_id))
-        est_range = _range(record, result.target_position)
-        if est_range is None and true_range is not None and result.tracks:
-            # Range accuracy is a tracker property; with re-ID disabled (or
-            # before designation) fall back to the track nearest in range.
-            ranges = [_range(record, (x, y)) for _, x, y, _ in result.tracks]
-            est_range = min(ranges, key=lambda r: abs(r - true_range))
+        est_range = next((_range(record, (x, y))
+                          for _, x, y, box in result.tracks
+                          if det and box is det.box), None)
         if true_range is not None:
             range_pairs.append((est_range, true_range))
 
@@ -127,7 +124,8 @@ def run_experiment(scenario: Scenario, tracker_cfg=None, reid_cfg=None, seed=0,
             "n_tracks": len(result.tracks),
         })
 
-    reid_result = ReidResult(reid_precision(reid_frames))
+    reid_result = (ReidResult(reid_precision(reid_frames)) if reid_enabled
+                   else None)
     stats = range_error_stats(range_pairs)
 
     if out_dir is not None:
@@ -138,12 +136,13 @@ def run_experiment(scenario: Scenario, tracker_cfg=None, reid_cfg=None, seed=0,
     return reid_result, stats, trace
 
 
-def metrics_lines(reid_result: ReidResult, stats: RangeErrorStats):
-    """metrics.txt line by line: a flat key-value rendering (deterministic)."""
+def metrics_lines(reid_result: ReidResult | None, stats: RangeErrorStats):
+    """metrics.txt line by line: a flat key-value rendering (deterministic);
+    the precision only for a run with re-ID."""
     yield f"format {METRICS_FORMAT}\n"
-    yield f"precision_threshold_px {THRESHOLD_PX:g}\n"
-    yield f"ap {reid_result.ap:.6f}\n"
-    yield f"precision@{THRESHOLD_PX:g}px {reid_result.ap:.6f}\n"
+    if reid_result is not None:
+        yield f"precision_threshold_px {THRESHOLD_PX:g}\n"
+        yield f"{PRECISION_KEY} {reid_result.ap:.6f}\n"
     for b in stats.bins:
         key = f"range_bin_{b['lo']:g}_{b['hi']:g}"
         yield f"{key}_count {b['count']}\n"

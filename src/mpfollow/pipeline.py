@@ -95,14 +95,15 @@ class FollowPipeline:
         """The target before the first fit: until a sample is kept, the
         target person's first track matched with a descriptor (designation
         by ground-truth id; its frame's _learn keeps a sample), then that
-        track while it is matched; after that RE_ID, with no target."""
+        track on every frame where it is matched; on the others RE_ID,
+        with no target. The state keeps the designated track's id."""
         tid = self.state.target_track_id if len(self.sample_set) else next(
             (t for t in track_desc
              if seen[t].person_id == self.target_person_id), None)
         target = tid if tid in seen else None
         self.state.mode = (FollowerMode.RE_ID if target is None
                            else FollowerMode.FOLLOWING)
-        self.state.target_track_id = target
+        self.state.target_track_id = tid
         return target
 
     def _learn(self, target_tid, track_desc, frame_index, seen):

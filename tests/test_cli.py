@@ -416,6 +416,20 @@ class TestExperiment:
         assert (tmp_path / "lab_corridor_like" / "metrics.txt").exists()
         assert (tmp_path / "lab_corridor_like" / "trace.jsonl").exists()
 
+    @pytest.mark.parametrize("name, run_dir, precision_keys", [
+        ("lab_corridor_like", "lab_corridor_like",
+         ["precision_threshold_px", "precision@50px"]),
+        ("range-accuracy", "range_accuracy", [])])
+    def test_metrics_name_the_precision_once_and_only_with_reid(
+            self, tmp_path, capsys, name, run_dir, precision_keys):
+        code, _, _ = run(capsys, "experiment", name, "--out-dir", str(tmp_path))
+        assert code == EXIT_OK
+        keys = [line.split(" ")[0] for line in
+                (tmp_path / run_dir / "metrics.txt").read_text().splitlines()]
+        assert keys[0] == "format"
+        assert [k for k in keys
+                if "precision" in k or k == "ap"] == precision_keys
+
     def test_unknown_experiment(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "experiment", "bogus",
                               "--out-dir", str(tmp_path))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,13 +8,13 @@ import pytest
 from mpfollow.evaluation import (
     RANGE_BINS,
     EvaluationError,
-    _gt_target_center,
     metrics_lines,
     range_error_stats,
     reid_precision,
     run_experiment,
 )
 from mpfollow.pipeline import FollowPipeline
+from mpfollow.reid import ReidConfig
 from mpfollow.sim import builtin_scenarios, generate
 
 
@@ -105,12 +106,53 @@ class TestRunExperiment:
         assert (tmp_path / "a" / "trace.jsonl").read_bytes() == \
             (tmp_path / "b" / "trace.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+    def test_range_does_not_depend_on_reid(self, name, seed):
+        # The tracker never reads re-ID, so neither does the range metric.
+        sc = builtin_scenarios()[name]
+        bins = [run_experiment(sc, reid_cfg=ReidConfig(mode=mode or "ST"),
+                               seed=seed, reid_enabled=mode is not None)[1].bins
+                for mode in ("ST", "SLT", None)]
+        assert bins[0] == bins[1] == bins[2]
+
+    def test_range_is_the_target_detections_own_track(self, tmp_path):
+        # Each frame's est_range is the range of the confirmed track the
+        # tracker matched to the target's detection, or null without one;
+        # never another track, however near the true range it reads.
+        sc = builtin_scenarios()["corridor1_like"]
+        run_experiment(sc, reid_cfg=ReidConfig(mode="ST"), seed=0,
+                       out_dir=str(tmp_path))
+        with open(tmp_path / "trace.jsonl") as f:
+            trace = [json.loads(line) for line in f]
+        pipe = FollowPipeline(sc.intrinsics, reid_enabled=False, seed=0)
+        step, matched = pipe.tracker.step, {}
+
+        def recorded_step(dets):
+            out = step(dets)
+            matched.clear()
+            matched.update(out[1])
+            return out
+        pipe.tracker.step = recorded_step
+        expected = []
+        for record in generate(sc, 0):
+            result = pipe.process_frame(record)
+            k = next((i for i, d in enumerate(record.detections)
+                      if d.person_id == sc.target_id), None)
+            rx, ry, _ = record.robot_pose
+            expected.append(next(
+                (round(math.hypot(x - rx, y - ry), 4)
+                 for tid, x, y, _ in result.tracks
+                 if k is not None and matched.get(tid) == k), None))
+        assert [row["est_range"] for row in trace] == expected
+        assert 0 < expected.count(None) < len(expected)
+
     def test_metrics_text_parses_as_key_value(self):
         sc = builtin_scenarios()["lab_corridor_like"]
         reid, stats, _ = run_experiment(sc, seed=0)
         text = "".join(metrics_lines(reid, stats))
         lines = text.strip().splitlines()
-        assert lines[0] == "format mpfollow-metrics-1"
+        assert lines[0] == "format mpfollow-metrics-2"
         for line in lines:
             key, value = line.split(" ", 1)
             assert key and value
@@ -129,6 +171,7 @@ class TestRunExperiment:
         assert reid_precision([
             (f.frame_index,
              a.target_box.center if a.target_box else None,
-             _gt_target_center(f, sc.target_id))
+             next((d.box.center for d in f.detections
+                   if d.person_id == sc.target_id), None))
             for f, (a, _) in zip(frames, results)]) > 0.9
         assert [repr(a) for a, _ in results] == [repr(b) for _, b in results]

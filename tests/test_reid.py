@@ -594,26 +594,32 @@ class TestPreFit:
         assert [s.frame_index for s in pipe.sample_set.samples()] == [
             1, 2, 4, 5]
 
-    def test_first_loss_is_re_id_for_good(self):
+    def test_designated_track_is_the_target_whenever_matched(self):
         # Frame 3 has nobody; the same person (and track) is matched again
-        # from frame 4 on, and is never designated again.
+        # from frame 4 on and is the target again.
         frames = [[(0, True)]] * 3 + [[]] + [[(0, True)]] * 4
         pipe, got = self.run(frames)
         tid = got[1][1]
         assert got == [("RE_ID", None)] + [("FOLLOWING", tid)] * 2 + [
-            ("RE_ID", None)] * 5
+            ("RE_ID", None)] + [("FOLLOWING", tid)] * 4
         assert [t.id for t in pipe.tracker.confirmed_tracks()] == [tid]
-        assert len(pipe.sample_set) == 2
+        assert len(pipe.sample_set) == 6
 
-    def test_one_person_run_loses_the_target_for_good(self):
-        # One person gives no negatives, so the classifier never fits and
-        # the first loss of the designated track is permanent.
+    def test_one_person_run_follows_its_designated_track(self):
+        # One person gives no negatives, so the classifier never fits; the
+        # target is the designated track on every frame where it is matched.
         sc = SCENARIOS["range_sweep"]
         pipe = FollowPipeline(sc.intrinsics, target_person_id=sc.target_id,
                               seed=0)
         results = [pipe.process_frame(f) for f in sim.generate(sc, 0)]
-        assert [k for k, r in enumerate(results)
-                if r.target_track_id is not None] == list(range(1, 245))
-        assert {r.mode for r in results[245:]} == {"RE_ID"}
+        tid = results[1].target_track_id
+        assert tid is not None
+        matched = [any(t == tid and box is not None
+                       for t, _, _, box in r.tracks) for r in results]
+        assert [r.target_track_id for r in results] == [
+            tid if m else None for m in matched]
+        assert [r.mode for r in results] == [
+            "FOLLOWING" if m else "RE_ID" for m in matched]
+        assert sum(matched) == 532
         assert not pipe.classifier.trained
         assert len(pipe.sample_set) == 64
