@@ -20,19 +20,19 @@ EXIT_USAGE = 3
 EXIT_RUNTIME = 4
 
 # Each experiment: its built-in scenario, its header line (or None) and its
-# runs, each (output subdirectory, label, the TrackerConfig and ReidConfig
-# fields it sets, re-ID on). A built-in scenario's name runs it as one run.
+# runs, each (output subdirectory, label, the TrackerConfig fields it sets,
+# the ReidConfig fields it sets or None: no re-ID).
 EXPERIMENTS = {
     "st-sweep": ("room_like", "scenario=room_like mode=ST capacity sweep", [
-        (f"st_{cap}", f"GRR_ST_{cap}", {}, {"mode": "ST", "capacity": cap},
-         True) for cap in (16, 32, 64, 128)]),
+        (f"st_{cap}", f"GRR_ST_{cap}", {}, {"mode": "ST", "capacity": cap})
+        for cap in (16, 32, 64, 128)]),
     "slt-vs-st": (
         "corridor1_like", "scenario=corridor1_like GRR_SLT_64 vs GRR_ST_64", [
-            (f"{m.lower()}_64", f"GRR_{m}_64", {}, {"mode": m, "capacity": 64},
-             True) for m in ("ST", "SLT")]),
+            (f"{m.lower()}_64", f"GRR_{m}_64", {}, {"mode": m, "capacity": 64})
+            for m in ("ST", "SLT")]),
     "range-accuracy": ("range_sweep", None, [(
         "range_accuracy", "range-accuracy",
-        {"measurement_noise_std": 0.3, "gate_distance": 2.0}, {}, False)]),
+        {"measurement_noise_std": 0.3, "gate_distance": 2.0}, None)]),
 }
 
 
@@ -59,23 +59,34 @@ def _resolve_scenario(name_or_path):
     return seqio.load_scenario(name_or_path)
 
 
-def _configs(args):
-    """The tracker and re-ID configs from the flags given, or error[config]."""
+def _runs(args, command, runs):
+    """Each (output, label, TrackerConfig fields, ReidConfig fields or None)
+    run with the flags' configs, the run's fields set (None: no re-ID); a
+    bad value or a flag that no run reads is refused with error[config]."""
     try:
-        return tuple(cls(**{f.name: getattr(args, f.name) for f in fields(cls)
-                            if getattr(args, f.name, None) is not None})
-                     for cls in (TrackerConfig, ReidConfig))
+        tracker_cfg, reid_cfg = (
+            cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                   if getattr(args, f.name, None) is not None})
+            for cls in (TrackerConfig, ReidConfig))
     except ValueError as e:
         raise CliError("config", str(e), EXIT_USAGE)
+    unread = " or ".join(dict.fromkeys(  # fields a run sets, re-ID without it
+        f"--{f.replace('_', '-')}" for _, _, tracker, reid in runs
+        for f in (*tracker, *(vars(reid_cfg) if reid is None else reid))
+        if getattr(args, f, None) is not None))
+    if unread:
+        raise CliError("config", f"{command} takes no {unread}", EXIT_USAGE)
+    return [(out, label, replace(tracker_cfg, **tracker),
+             None if reid is None else replace(reid_cfg, **reid))
+            for out, label, tracker, reid in runs]
 
 
 def _print_config(args, runs):
-    """Under --print-config, what each (run, tracker config, re-ID config,
-    re-ID on) is given, as one JSON object a run."""
-    for run, tracker, reid, reid_on in runs if args.print_config else ():
-        print(json.dumps({"run": run, "reid_enabled": reid_on,
-                          "seed": args.seed, "tracker": vars(tracker),
-                          "reid": vars(reid)}, indent=2, sort_keys=True))
+    """Under --print-config, one JSON object per run: what the run is given."""
+    for _, label, tracker, reid in runs if args.print_config else ():
+        print(json.dumps({"run": label, "seed": args.seed,
+                          "tracker": vars(tracker), "reid": reid and vars(reid)},
+                         indent=2, sort_keys=True))
 
 
 def cmd_generate(args):
@@ -89,24 +100,25 @@ def cmd_generate(args):
 def cmd_track(args):
     """Check the configs, -o, --calibration, then the sequence; then track,
     writing each frame's rows as it is tracked."""
-    tracker_cfg, reid_cfg = _configs(args)
+    [(_, _, tracker_cfg, reid_cfg)] = runs = _runs(args, "track --no-reid", [(
+        args.out, args.out, {}, None if args.no_reid else {})])
     seqio.check_output(args.out)
     intr, mount = DEFAULT_INTRINSICS, None
     if args.calibration:
         intr, mount = seqio.load_calibration(args.calibration)
     frames = seqio.read_sequence(args.sequence)
     person = args.target_person  # designation needs one of its descriptors
-    if not args.no_reid and any(f.detections for f in frames) and all(
+    if reid_cfg is not None and any(f.detections for f in frames) and all(
             d.descriptor is None or d.person_id != person
             for f in frames for d in f.detections):
         raise CliError("config", "re-ID enabled but the sequence carries no "
                        f"descriptors of person {person} (rerun with "
                        "--no-reid or --target-person)", EXIT_USAGE)
-    _print_config(args, [(args.out, tracker_cfg, reid_cfg, not args.no_reid)])
+    _print_config(args, runs)
 
     pipe = FollowPipeline(intr, tracker_cfg, reid_cfg,
                           target_person_id=args.target_person,
-                          reid_enabled=not args.no_reid, seed=args.seed,
+                          reid_enabled=reid_cfg is not None, seed=args.seed,
                           mount=mount)
 
     def rows():
@@ -127,32 +139,22 @@ def cmd_track(args):
 
 
 def cmd_experiment(args):
-    """Run a named experiment or built-in scenario: each run gets the flags'
-    configs with the fields it sets replaced, and a flag for one is refused."""
-    tracker_cfg, reid_cfg = _configs(args)
+    """Run a named experiment or built-in scenario, each run as _runs gives."""
     scenarios, name = sim.builtin_scenarios(), args.name
     scenario, header, runs = EXPERIMENTS.get(
-        name, (name, None, [(name, name, {}, {}, True)]))
+        name, (name, None, [(name, name, {}, {})]))
+    runs = _runs(args, f"experiment {name}", runs)
     if scenario not in scenarios:
         raise CliError("usage", f"unknown experiment '{name}'", EXIT_USAGE)
-    flagged = {f: getattr(args, f) for run in runs  # set fields with a flag
-               for f in (*run[2], *run[3]) if hasattr(args, f)}
-    if any(value is not None for value in flagged.values()):
-        flags = " and ".join(f"--{f.replace('_', '-')}" for f in flagged)
-        raise CliError("config", f"experiment {name} sets {flags} itself",
-                       EXIT_USAGE)
-    runs = [(subdir, label, replace(tracker_cfg, **tracker),
-             replace(reid_cfg, **reid), reid_on)
-            for subdir, label, tracker, reid, reid_on in runs]
     os.makedirs(args.out_dir, exist_ok=True)  # a bad one fails before any run
-    _print_config(args, [run[1:] for run in runs])
+    _print_config(args, runs)
     if header:
         print(header)
-    for subdir, label, tracker, reid, reid_on in runs:
+    for subdir, label, tracker, reid in runs:
         r, stats, _ = evaluation.run_experiment(
-            scenarios[scenario], tracker, reid, seed=args.seed,
-            reid_enabled=reid_on, out_dir=os.path.join(args.out_dir, subdir))
-        if reid_on:
+            scenarios[scenario], tracker, reid, reid_enabled=reid is not None,
+            seed=args.seed, out_dir=os.path.join(args.out_dir, subdir))
+        if reid is not None:
             print(f"{label} {evaluation.PRECISION_KEY} {r.ap:.3f}")
         else:  # a run without re-ID reports its range accuracy
             print("bin_lo bin_hi count mae", *(

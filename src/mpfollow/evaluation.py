@@ -58,7 +58,7 @@ def range_error_stats(pairs) -> RangeErrorStats:
     """Absolute range-error statistics binned by true range.
 
     pairs: iterable of (estimated_range or None, true_range); frames with
-    no estimate are skipped (range accuracy is a tracking property).
+    no estimate are skipped, and a bin with none has NaN statistics.
     """
     pairs = [(est, true) for est, true in pairs if est is not None]
     bins = []
@@ -66,7 +66,7 @@ def range_error_stats(pairs) -> RangeErrorStats:
         e = np.array([abs(est - true) for est, true in pairs
                       if lo <= true < hi])
         stats = ([e.mean(), e.var(), *np.percentile(e, [25, 50, 75])]
-                 if e.size else [0.0] * 5)
+                 if e.size else [math.nan] * 5)
         mae, var, q1, med, q3 = map(float, stats)
         bins.append({"lo": lo, "hi": hi, "count": int(e.size),
                      "mean_abs_error": mae, "variance": var,

@@ -27,7 +27,7 @@ from .tracker import DetectionSet, Tracker, TrackerConfig
 
 @dataclass
 class FrameResult:
-    mode: str
+    mode: str | None              # None: re-ID off, so no follower
     target_track_id: int | None
     target_box: object            # BoundingBox or None
     target_position: object       # world (x, y) or None
@@ -129,7 +129,7 @@ class FollowPipeline:
             if t.id == target:
                 target_box, target_pos = box, (t.mean[0], t.mean[1])
         return FrameResult(
-            mode=self.state.mode.value,
+            mode=self.state.mode.value if self.reid_enabled else None,
             target_track_id=target,
             target_box=target_box,
             target_position=target_pos,

@@ -49,8 +49,8 @@ class TrackerConfig:
     r_body: float = 0.25                     # assumed body width, meters
 
     def __post_init__(self):
-        if not 0.0 <= self.delta_iou <= 1.0:
-            raise ValueError("delta_iou must be in [0, 1]")
+        if not 0.0 < self.delta_iou <= 1.0:
+            raise ValueError("delta_iou must be in (0, 1]")
         for name in ("measurement_noise_std", "gate_distance", "r_body"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -353,18 +353,16 @@ class Tracker:
         self._next_id = 1
         self._last_timestamp = None
         self.extr, self.H = extr, build_observation_model(extr)
-        self._M = position_block(self.H)
 
     def set_pose(self, x, y, theta):
         """Install the next frame's robot pose on the mount; H depends on it."""
         self.extr = geometry.robot_pose_extrinsics(
             x, y, theta, self.extr.R_robot_cam, self.extr.t_robot_cam)
         self.H = build_observation_model(self.extr)
-        self._M = position_block(self.H)
 
-    def _new_track(self, y):
+    def _new_track(self, y, M):
         # Seed the world position by inverting M, of rank 2 by check_mount.
-        a, b, c, d = self._M
+        a, b, c, d = M
         det = a * d - b * c
         y0, y1 = y
         s = [(d * y0 - b * y1) / det, (a * y1 - c * y0) / det, 0.0, 0.0]
@@ -410,7 +408,7 @@ class Tracker:
             self.tracks, ys, self.H, cfg.gate_distance)
 
         associations = {}
-        M, r = self._M, cfg.measurement_noise_std**2
+        M, r = position_block(self.H), cfg.measurement_noise_std**2
         for i, j in pairs:
             t = self.tracks[i]
             # associate refuses a non-finite cost, and each innovation is
@@ -426,7 +424,7 @@ class Tracker:
         for i in unmatched_t:
             self.tracks[i].missed += 1
         for j in unmatched_m:
-            self.tracks.append(self._new_track(ys[j]))
+            self.tracks.append(self._new_track(ys[j], M))
 
         # A tentative track dies at its first miss, a confirmed one at its
         # first miss beyond MAX_MISSED.

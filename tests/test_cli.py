@@ -344,14 +344,26 @@ class TestTrack:
                               "-o", str(tmp_path / "t.jsonl"))
         assert code == EXIT_OK
         cfg = json.loads(stdout[:stdout.index("wrote")])
-        assert (cfg["run"], cfg["seed"], cfg["reid_enabled"]) == (
-            str(tmp_path / "t.jsonl"), 0, True)
+        assert sorted(cfg) == ["reid", "run", "seed", "tracker"]
+        assert (cfg["run"], cfg["seed"]) == (str(tmp_path / "t.jsonl"), 0)
         assert cfg["reid"]["capacity"] == 32
         assert cfg["reid"]["mode"] == "SLT"
         assert sorted(cfg["tracker"]) == ["delta_iou", "gate_distance",
                                           "measurement_noise_std", "r_body"]
         assert sorted(cfg["reid"]) == ["capacity", "delta_id", "delta_switch",
                                        "lam", "mode", "n_id"]
+
+    def test_print_config_without_reid(self, tmp_path, capsys, sequence):
+        # A run without re-ID is given no re-ID config: "reid" is null, and
+        # nothing else says whether re-ID is on.
+        code, stdout, _ = run(capsys, "track", str(sequence), "--no-reid",
+                              "--r-body", "0.3", "--print-config",
+                              "-o", str(tmp_path / "t.jsonl"))
+        assert code == EXIT_OK
+        cfg = json.loads(stdout[:stdout.index("wrote")])
+        assert sorted(cfg) == ["reid", "run", "seed", "tracker"]
+        assert cfg["reid"] is None
+        assert cfg["tracker"]["r_body"] == 0.3
 
     def test_zero_rows_write_one_empty_line(self, tmp_path, capsys):
         # No track is confirmed before its second hit, so one frame gives
@@ -459,15 +471,20 @@ class TestExperiment:
 
 class TestConfigFlags:
     @pytest.mark.parametrize("command", ["track", "experiment"])
-    def test_delta_iou_out_of_range_usage_error(self, tmp_path, command):
+    @pytest.mark.parametrize("value", ["2", "0"])
+    def test_delta_iou_out_of_range_usage_error(self, tmp_path, command,
+                                                value):
+        # At 0 no IoU is below delta_iou, so every box was dropped, even a
+        # lone one, and nothing was tracked.
         seq = tmp_path / "seq.jsonl"
         seq.write_text(ONE_FRAME_SEQUENCE)
         source = str(seq) if command == "track" else "lab_corridor_like"
-        proc = run_process(command, source, "--delta-iou", "2",
+        proc = run_process(command, source, "--delta-iou", value,
                            "-o" if command == "track" else "--out-dir",
                            str(tmp_path / "out"))
         assert proc.returncode == EXIT_USAGE
-        assert proc.stderr.startswith("error[config]: delta_iou must be in")
+        assert proc.stderr.startswith(
+            "error[config]: delta_iou must be in (0, 1]\n")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
@@ -510,23 +527,21 @@ class TestConfigFlags:
     @pytest.mark.parametrize("name, flags, runs", [
         ("st-sweep", ["--lam", "5", "--delta-id", "0.9", "--r-body", "0.3"],
          [("room_like", {"r_body": 0.3},
-           {"lam": 5.0, "delta_id": 0.9, "mode": "ST", "capacity": c}, True)
+           {"lam": 5.0, "delta_id": 0.9, "mode": "ST", "capacity": c})
           for c in (16, 32, 64, 128)]),
         ("slt-vs-st", ["--lam", "5", "--delta-id", "0.9"],
          [("corridor1_like", {}, {"lam": 5.0, "delta_id": 0.9, "mode": m,
-                                  "capacity": 64}, True) for m in ("ST", "SLT")]),
-        ("range-accuracy", ["--r-body", "0.5", "--delta-iou", "0.1",
-                            "--n-id", "2"],
+                                  "capacity": 64}) for m in ("ST", "SLT")]),
+        ("range-accuracy", ["--r-body", "0.5", "--delta-iou", "0.1"],
          [("range_sweep", {"r_body": 0.5, "delta_iou": 0.1,
                            "measurement_noise_std": 0.3, "gate_distance": 2.0},
-           {"n_id": 2}, False)]),
+           None)]),
         ("room_like", ["--mode", "SLT", "--capacity", "8", "--delta-iou", "0.2"],
-         [("room_like", {"delta_iou": 0.2}, {"mode": "SLT", "capacity": 8},
-           True)])])
+         [("room_like", {"delta_iou": 0.2}, {"mode": "SLT", "capacity": 8})])])
     def test_experiment_runs_with_flag_configs(self, tmp_path, capsys,
                                                monkeypatch, name, flags, runs):
         # Each run gets the configs the flags give; an experiment sets only
-        # the fields it sweeps.
+        # the fields it sweeps, and a run without re-ID gets no re-ID config.
         seen = []
 
         def fake_run(scenario, tracker_cfg, reid_cfg, seed, reid_enabled=True,
@@ -538,32 +553,35 @@ class TestConfigFlags:
         code, _, _ = run(capsys, "experiment", name, *flags,
                          "--out-dir", str(tmp_path))
         assert code == EXIT_OK
-        assert seen == [(scenario, TrackerConfig(**tracker), ReidConfig(**reid),
-                         reid_enabled)
-                        for scenario, tracker, reid, reid_enabled in runs]
+        assert seen == [(scenario, TrackerConfig(**tracker),
+                         None if reid is None else ReidConfig(**reid),
+                         reid is not None)
+                        for scenario, tracker, reid in runs]
 
-    @pytest.mark.parametrize("name, labels", [
-        ("st-sweep", [f"GRR_ST_{c}" for c in (16, 32, 64, 128)]),
-        ("slt-vs-st", ["GRR_ST_64", "GRR_SLT_64"]),
-        ("range-accuracy", ["range-accuracy"]),
-        ("room_like", ["room_like"])])
+    @pytest.mark.parametrize("name, labels, flags", [
+        ("st-sweep", [f"GRR_ST_{c}" for c in (16, 32, 64, 128)],
+         ["--lam", "5"]),
+        ("slt-vs-st", ["GRR_ST_64", "GRR_SLT_64"], ["--lam", "5"]),
+        ("range-accuracy", ["range-accuracy"], []),
+        ("room_like", ["room_like"], ["--lam", "5"])])
     def test_print_config_shows_what_each_run_is_given(self, tmp_path, capsys,
                                                        monkeypatch, name,
-                                                       labels):
+                                                       labels, flags):
         # One object per run, all before the first run starts, each holding
-        # the seed, configs and re-ID setting that run is given.
+        # the seed and configs that run is given: a null re-ID config for a
+        # run without re-ID.
         given = []
 
         def fake_run(scenario, tracker_cfg, reid_cfg, seed, reid_enabled=True,
                      out_dir=None):
             print("run started")
-            given.append({"seed": seed, "reid_enabled": reid_enabled,
-                          "tracker": vars(tracker_cfg),
-                          "reid": vars(reid_cfg)})
+            assert reid_enabled == (reid_cfg is not None)
+            given.append({"seed": seed, "tracker": vars(tracker_cfg),
+                          "reid": reid_cfg and vars(reid_cfg)})
             return SimpleNamespace(ap=0.5), SimpleNamespace(bins=[]), []
 
         monkeypatch.setattr(evaluation, "run_experiment", fake_run)
-        code, stdout, _ = run(capsys, "experiment", name, "--lam", "5",
+        code, stdout, _ = run(capsys, "experiment", name, *flags,
                               "--r-body", "0.3", "--seed", "2",
                               "--print-config", "--out-dir", str(tmp_path))
         assert code == EXIT_OK
@@ -590,13 +608,37 @@ class TestConfigFlags:
         assert outputs[0][1] != outputs[1][1]
 
     @pytest.mark.parametrize("name", ["st-sweep", "slt-vs-st"])
-    @pytest.mark.parametrize("flag", ["--mode=SLT", "--capacity=32"])
-    def test_swept_flag_refused(self, tmp_path, capsys, name, flag):
-        code, _, stderr = run(capsys, "experiment", name, flag,
+    @pytest.mark.parametrize("flags, refused", [
+        (["--mode=SLT"], "--mode"), (["--capacity=32"], "--capacity"),
+        (["--capacity=32", "--lam=5", "--mode=SLT"], "--mode or --capacity")])
+    def test_swept_flag_refused(self, tmp_path, capsys, name, flags, refused):
+        code, _, stderr = run(capsys, "experiment", name, *flags,
                               "--out-dir", str(tmp_path))
         assert code == EXIT_USAGE
-        assert stderr.startswith(f"error[config]: experiment {name} sets "
-                                 "--mode and --capacity")
+        assert stderr == f"error[config]: experiment {name} takes no {refused}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["track --no-reid",
+                                         "experiment range-accuracy"])
+    @pytest.mark.parametrize("flags, refused", [
+        *(([flag, value], flag) for flag, value in (
+            ("--delta-switch", "0.5"), ("--delta-id", "0.5"), ("--n-id", "3"),
+            ("--lam", "5"), ("--capacity", "8"), ("--mode", "SLT"))),
+        (["--mode", "SLT", "--r-body", "0.3", "--n-id", "3"],
+         "--n-id or --mode")])
+    def test_reid_flag_refused_without_reid(self, tmp_path, capsys, command,
+                                            flags, refused):
+        # A run without re-ID reads no re-ID flag, so each one given is
+        # refused before -o is checked, --out-dir is made or the sequence
+        # is read (here it does not exist).
+        argv = (["track", str(tmp_path / "missing.jsonl"), "--no-reid", "-o"]
+                if command.startswith("track") else
+                ["experiment", "range-accuracy", "--out-dir"])
+        code, stdout, stderr = run(capsys, *argv, str(tmp_path / "out"),
+                                   *flags)
+        assert code == EXIT_USAGE
+        assert stderr == f"error[config]: {command} takes no {refused}\n"
+        assert stdout == ""
         assert list(tmp_path.iterdir()) == []
 
 

@@ -86,6 +86,15 @@ class TestRangeErrorStats:
         assert b["median"] == pytest.approx(med)
         assert b["q3"] == pytest.approx(q3)
 
+    def test_empty_bin_has_no_statistics(self):
+        # A bin without an estimate must not read as a perfect one.
+        stats = range_error_stats([(3.1, 3.0), (None, 2.5)])
+        lines = "".join(metrics_lines(None, stats)).splitlines()
+        assert "range_bin_3_4_mae 0.100000" in lines
+        assert "range_bin_2_3_count 0" in lines
+        for key in ("mae", "var", "q1", "median", "q3"):
+            assert f"range_bin_2_3_{key} nan" in lines
+
 
 class TestRunExperiment:
     def test_scenario_end_to_end(self, tmp_path):
@@ -105,6 +114,18 @@ class TestRunExperiment:
             (tmp_path / "b" / "metrics.txt").read_bytes()
         assert (tmp_path / "a" / "trace.jsonl").read_bytes() == \
             (tmp_path / "b" / "trace.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+    def test_no_follower_mode_without_reid(self, name, seed):
+        # The FOLLOWING/RE_ID state machine is part of re-ID: without it,
+        # every frame's mode is None (null in trace.jsonl).
+        sc = builtin_scenarios()[name]
+        modes = [{row["mode"] for row in run_experiment(
+                     sc, seed=seed, reid_enabled=reid_on)[2]}
+                 for reid_on in (False, True)]
+        assert modes[0] == {None}
+        assert "FOLLOWING" in modes[1] and modes[1] <= {"FOLLOWING", "RE_ID"}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("name", sorted(builtin_scenarios()))

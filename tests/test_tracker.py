@@ -497,7 +497,8 @@ class ReferenceTracker(Tracker):
             if not self.tracks[i].confirmed():
                 self.tracks[i].valid = False
         for j in unmatched_m:
-            self.tracks.append(self._new_track(measurements[j]))
+            self.tracks.append(self._new_track(
+                measurements[j], geometry.position_block(self.H)))
         self.tracks = [t for t in self.tracks
                        if t.valid and t.missed <= tracker.MAX_MISSED]
         return self.tracks, associations
@@ -786,7 +787,7 @@ class TestScalarKernels:
             0, 0, 0, R_robot_cam=pitched_mount(0.3)))
         for x, y, theta in rng.uniform(-50, 50, size=(1000, 3)):
             tr.set_pose(x, y, theta)
-            a, b, c, d = tr._M
+            a, b, c, d = geometry.position_block(tr.H)
             assert abs(a * d - b * c) > 1e-9
 
     @given(rpy=st.lists(st.floats(-7, 7) | st.sampled_from(

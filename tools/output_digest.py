@@ -22,10 +22,13 @@ the digest covers:
 - the same for a one-frame sequence, room_like's header and first frame:
   no track is confirmed before its second hit, so each of these outputs
   has zero rows, which ``track`` writes as one empty line;
-- the exit code, stdout and artifacts of ``mpfollow experiment`` for
-  each named experiment in the tree's ``cli.EXPERIMENTS`` (st-sweep,
-  slt-vs-st and range-accuracy) and for the built-in scenario
-  lab_corridor_like, which ``experiment`` runs by name;
+- the exit code, stdout and artifacts of ``mpfollow experiment
+  --print-config`` for each named experiment in the tree's
+  ``cli.EXPERIMENTS`` (st-sweep, slt-vs-st and range-accuracy) and for
+  the built-in scenario lab_corridor_like, which ``experiment`` runs by
+  name, so what each run is given is digested too (runs are named by
+  their labels, not by paths, so these bytes do not depend on the
+  temporary directory);
 - for a scenario file that sets every key off its default: the repr of
   the ``Scenario`` it loads to, the bytes ``mpfollow generate`` writes
   for it, and the bytes ``mpfollow track --calibration`` writes for that
@@ -239,7 +242,8 @@ def digest(src):
 
         for name in (*cli.EXPERIMENTS, SCENARIO_EXPERIMENT):
             out_dir = os.path.join(tmp, "experiments", name)
-            code, stdout = _cli("experiment", name, "--out-dir", out_dir)
+            code, stdout = _cli("experiment", name, "--print-config",
+                                "--out-dir", out_dir)
             h.update(f"experiment {name}|{code}|{stdout}".encode())
             _hash_tree(h, out_dir)
 
