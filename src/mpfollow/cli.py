@@ -59,10 +59,10 @@ def _resolve_scenario(name_or_path):
     return seqio.load_scenario(name_or_path)
 
 
-def _runs(args, command, runs):
+def _runs(args, command, runs, reid_only=()):
     """Each (output, label, TrackerConfig fields, ReidConfig fields or None)
-    run with the flags' configs, the run's fields set (None: no re-ID); a
-    bad value or a flag that no run reads is refused with error[config]."""
+    run with the flags' configs, the run's fields set (None: no re-ID, nor
+    the reid_only flags); a bad value or a flag no run reads: error[config]."""
     try:
         tracker_cfg, reid_cfg = (
             cls(**{f.name: getattr(args, f.name) for f in fields(cls)
@@ -72,7 +72,8 @@ def _runs(args, command, runs):
         raise CliError("config", str(e), EXIT_USAGE)
     unread = " or ".join(dict.fromkeys(  # fields a run sets, re-ID without it
         f"--{f.replace('_', '-')}" for _, _, tracker, reid in runs
-        for f in (*tracker, *(vars(reid_cfg) if reid is None else reid))
+        for f in (*tracker, *((*vars(reid_cfg), *reid_only) if reid is None
+                              else reid))
         if getattr(args, f, None) is not None))
     if unread:
         raise CliError("config", f"{command} takes no {unread}", EXIT_USAGE)
@@ -101,7 +102,9 @@ def cmd_track(args):
     """Check the configs, -o, --calibration, then the sequence; then track,
     writing each frame's rows as it is tracked."""
     [(_, _, tracker_cfg, reid_cfg)] = runs = _runs(args, "track --no-reid", [(
-        args.out, args.out, {}, None if args.no_reid else {})])
+        args.out, args.out, {}, None if args.no_reid else {})],
+        reid_only=("seed", "target_person"))
+    args.seed, args.target_person = args.seed or 0, args.target_person or 0
     seqio.check_output(args.out)
     intr, mount = DEFAULT_INTRINSICS, None
     if args.calibration:
@@ -185,7 +188,6 @@ def build_parser():
 
     # Flags that track and experiment share.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--delta-iou", type=float)
     common.add_argument("--r-body", type=float)
     common.add_argument("--delta-switch", type=float)
@@ -202,7 +204,8 @@ def build_parser():
     t.add_argument("--calibration")
     t.add_argument("--no-reid", action="store_true",
                    help="disable re-identification (pure tracking)")
-    t.add_argument("--target-person", type=int, default=0)
+    t.add_argument("--seed", type=int)  # None: not given (0 with re-ID)
+    t.add_argument("--target-person", type=int)  # the same
     t.add_argument("-o", "--out", default="tracks.jsonl")
     t.set_defaults(func=cmd_track)
 
@@ -210,6 +213,7 @@ def build_parser():
                        help="run a named experiment")
     e.add_argument("name", help="st-sweep | slt-vs-st | range-accuracy | "
                                 "<built-in scenario name>")
+    e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out-dir", default=".")
     e.set_defaults(func=cmd_experiment)
 
@@ -223,7 +227,7 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "seed", 0) < 0:  # validate-config takes no seed
+        if (getattr(args, "seed", 0) or 0) < 0:  # absent or None: no --seed
             raise CliError("usage", "--seed must be at least 0", EXIT_USAGE)
         return args.func(args)
     except CliError as e:

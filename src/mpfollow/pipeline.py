@@ -37,8 +37,8 @@ class FrameResult:
 
 class FollowPipeline:
     """Stateful person-following estimator over a detection sequence. The
-    camera mount (an Extrinsics' R_robot_cam and t_robot_cam, as
-    seqio.load_calibration returns) is checked once, by the Tracker."""
+    camera mount is an Extrinsics of the robot at the origin, as
+    seqio.load_calibration returns it; the Tracker takes it as given."""
 
     def __init__(self, intr: CameraIntrinsics,
                  tracker_cfg: TrackerConfig | None = None,
@@ -53,9 +53,8 @@ class FollowPipeline:
         self.reid_enabled = reid_enabled
         self.target_person_id = target_person_id
         # Without a robot_pose the robot stays at the origin.
-        mount = mount or geometry.robot_pose_extrinsics(0, 0, 0)
-        self.tracker = Tracker(intr, geometry.robot_pose_extrinsics(
-            0, 0, 0, mount.R_robot_cam, mount.t_robot_cam), self.tracker_cfg)
+        self.tracker = Tracker(intr, mount or geometry.robot_pose_extrinsics(
+            0, 0, 0), self.tracker_cfg)
         self.extractor = PassthroughExtractor()
         self.sample_set = SampleSet(self.reid_cfg.capacity, self.reid_cfg.mode,
                                     rng=np.random.default_rng(seed))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,10 +78,9 @@ class TrackState:
     P: np.ndarray                 # 4x4 covariance
     missed: int = 0
     hits: int = 0
-    valid: bool = True
 
-    def __init__(self, id, s, P=None, missed=0, hits=0, valid=True):
-        self.id, self.missed, self.hits, self.valid = id, missed, hits, valid
+    def __init__(self, id, s, P=None, missed=0, hits=0):
+        self.id, self.missed, self.hits = id, missed, hits
         self.mean = np.asarray(s, dtype=float).reshape(4).tolist()
         self.cov = _INIT_COV
         if P is not None:
@@ -333,7 +332,7 @@ def update(track: TrackState, y, H, measurement_noise_std) -> TrackState:
     M = position_block(H)
     z = _innovation(track.mean, [float(v) for v in y], M)
     if not (math.isfinite(z[0]) and math.isfinite(z[1])):
-        return replace(track, valid=False)
+        raise ValueError("innovation is not finite")
     new = copy.copy(track)
     K, new.cov = _gain(track.cov, M, measurement_noise_std**2)
     new.mean = _correct(track.mean, z, K)
@@ -341,8 +340,8 @@ def update(track: TrackState, y, H, measurement_noise_std) -> TrackState:
 
 
 class Tracker:
-    """Stateful multi-person tracker over a detection sequence. Its camera
-    mount is checked once, here; each frame only poses the robot (set_pose)."""
+    """Stateful multi-person tracker. Its camera mount, extr with the robot
+    at the origin, is checked once, here; each frame only poses the robot."""
 
     def __init__(self, intr: CameraIntrinsics, extr: Extrinsics,
                  cfg: TrackerConfig | None = None):

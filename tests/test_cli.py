@@ -209,8 +209,7 @@ class TestTrack:
             f"descriptors of person {person} (rerun with --no-reid or "
             "--target-person)\n"))
         assert not out.exists()
-        code, _, _ = run(capsys, *argv, "--target-person", str(person),
-                         "--no-reid")
+        code, _, _ = run(capsys, *argv, "--no-reid")  # which reads no person
         assert code == EXIT_OK and out.exists()
         out.unlink()
         code, _, _ = run(capsys, *argv, "--target-person", "1")
@@ -638,6 +637,25 @@ class TestConfigFlags:
                                    *flags)
         assert code == EXIT_USAGE
         assert stderr == f"error[config]: {command} takes no {refused}\n"
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, refused", [
+        (["--seed", "9"], "--seed"),
+        (["--target-person", "7"], "--target-person"),
+        (["--seed", "0", "--target-person", "0"], "--seed or --target-person"),
+        (["--target-person", "7", "--n-id", "3", "--seed", "9"],
+         "--n-id or --seed or --target-person")])
+    def test_reid_only_flag_refused_by_track_without_reid(
+            self, tmp_path, capsys, flags, refused):
+        # Only re-ID reads the seed (the sample set's reservoir) and the
+        # target person (designation), so track --no-reid refuses both,
+        # given even at their default, in the re-ID flags' message.
+        code, stdout, stderr = run(
+            capsys, "track", str(tmp_path / "missing.jsonl"), "--no-reid",
+            "-o", str(tmp_path / "out"), *flags)
+        assert code == EXIT_USAGE
+        assert stderr == f"error[config]: track --no-reid takes no {refused}\n"
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
 

@@ -259,10 +259,13 @@ class TestUpdate:
         with pytest.raises(ValueError, match="zero velocity columns"):
             associate([t], [(1.0, 2.0)], H, 1.0)
 
-    def test_nonfinite_innovation_flags_invalid(self):
+    def test_nonfinite_innovation_refused(self):
+        # As associate refuses a non-finite cost and predict a dt <= 0.
         t = make_track(1, [1, 2, 0, 0])
-        t2 = update(t, np.array([np.nan, 2.0]), self.H, 0.1)
-        assert not t2.valid
+        for y in ([np.nan, 2.0], [1.0, np.inf]):
+            with pytest.raises(ValueError, match="innovation is not finite"):
+                update(t, np.array(y), self.H, 0.1)
+        assert t.s.tolist() == [1, 2, 0, 0]
 
     def test_static_person_noise_free_converges(self, wide_intr):
         # Full tracker against simulator ground truth: static pedestrian,
@@ -439,8 +442,6 @@ def reference_predict(track, dt):
 def reference_update(track, y, H, measurement_noise_std):
     R = np.eye(2) * measurement_noise_std**2
     innovation = y - H @ track.s
-    if not np.all(np.isfinite(innovation)):
-        return replace(track, valid=False)
     K = track.P @ H.T @ np.linalg.inv(H @ track.P @ H.T + R)
     I_KH = np.eye(4) - K @ H
     P = I_KH @ track.P @ I_KH.T + K @ R @ K.T
@@ -490,17 +491,16 @@ class ReferenceTracker(Tracker):
                                  cfg.measurement_noise_std)
             t.missed, t.hits = 0, t.hits + 1
             self.tracks[i] = t
-            if t.valid and t.confirmed():
+            if t.confirmed():
                 associations[t.id] = boxes[j]
         for i in unmatched_t:
             self.tracks[i].missed += 1
-            if not self.tracks[i].confirmed():
-                self.tracks[i].valid = False
         for j in unmatched_m:
             self.tracks.append(self._new_track(
                 measurements[j], geometry.position_block(self.H)))
-        self.tracks = [t for t in self.tracks
-                       if t.valid and t.missed <= tracker.MAX_MISSED]
+        # A tentative track ends at its first miss.
+        self.tracks = [t for t in self.tracks if t.missed == 0 or (
+            t.confirmed() and t.missed <= tracker.MAX_MISSED)]
         return self.tracks, associations
 
 
@@ -549,7 +549,7 @@ class TestBatchedEquivalence:
             assert [t.id for t in tracks] == [t.id for t in ref_tracks]
             for t, r in zip(tracks, ref_tracks):
                 assert_states_close(t, r)
-                assert (t.hits, t.missed, t.valid) == (r.hits, r.missed, r.valid)
+                assert (t.hits, t.missed) == (r.hits, r.missed)
             assert {tid: dets.boxes[k] for tid, k in assoc.items()} == ref_assoc
 
             ids = {t.id for t in tracks}
@@ -622,8 +622,8 @@ class TestBatchedEquivalence:
             for got, want in ((predict(t, dt), reference_predict(t, dt)),
                               (update(t, y, H, 0.1), reference_update(t, y, H, 0.1))):
                 assert_states_close(got, want)
-                assert (got.id, got.hits, got.missed, got.valid) == \
-                    (want.id, want.hits, want.missed, want.valid)
+                assert (got.id, got.hits, got.missed) == \
+                    (want.id, want.hits, want.missed)
 
 
 class TestSharedGain:
@@ -778,6 +778,13 @@ class TestScalarKernels:
             pipe.process_frame(f)
         assert len(frames) == 600
         assert calls == ["R_robot_cam"]
+
+    def test_pipeline_passes_mount_as_given(self, wide_intr):
+        # A mount is an Extrinsics of the robot at the origin, as
+        # load_calibration returns it: the pipeline builds no second one.
+        m = robot_pose_extrinsics(0, 0, 0, R_robot_cam=pitched_mount(0.3),
+                                  t_robot_cam=[0.1, 0.0, 1.2])
+        assert FollowPipeline(wide_intr, mount=m).tracker.extr is m
 
     def test_set_pose_at_any_heading(self, wide_intr):
         # Guard: a heading only rotates M's columns, so a pitched mount that

@@ -276,9 +276,9 @@ def digest(src):
         loaded = repr(seqio.read_sequence(seq)).encode()
         h.full.update(loaded)
         h.decisions.update(loaded)
-        for flags in ((), ("--no-reid",)):
-            code, _ = _cli("track", seq, "--calibration", calibration,
-                           "--target-person", "2", "-o", out, *flags)
+        for flags in ((), ("--no-reid",)):  # which takes no --target-person
+            code, _ = _cli("track", seq, "--calibration", calibration, "-o",
+                           out, *(flags or ("--target-person", "2")))
             h.update(f"track optional_keys {' '.join(flags)}|{code}|".encode())
             with open(out, "rb") as f:
                 h.update(f.read())
