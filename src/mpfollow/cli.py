@@ -82,19 +82,28 @@ def _runs(args, command, runs, reid_only=()):
             for out, label, tracker, reid in runs]
 
 
+def _report(*lines):
+    """Print lines to stdout; once its reader has left, print nothing more."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 def _print_config(args, runs):
     """Under --print-config, one JSON object per run: what the run is given."""
     for _, label, tracker, reid in runs if args.print_config else ():
-        print(json.dumps({"run": label, "seed": args.seed,
-                          "tracker": vars(tracker), "reid": reid and vars(reid)},
-                         indent=2, sort_keys=True))
+        _report(json.dumps({"run": label, "seed": args.seed,
+                            "tracker": vars(tracker), "reid": reid and vars(reid)},
+                           indent=2, sort_keys=True))
 
 
 def cmd_generate(args):
     seqio.check_output(args.out)
     frames = sim.generate(_resolve_scenario(args.scenario), args.seed)
     seqio.write_sequence(frames, args.out)
-    print(f"wrote {len(frames)} frames to {args.out}")
+    _report(f"wrote {len(frames)} frames to {args.out}")
     return EXIT_OK
 
 
@@ -137,7 +146,7 @@ def cmd_track(args):
                     "is_target": tid == result.target_track_id or None,
                 }
     count = seqio.write_jsonl(rows(), args.out)
-    print(f"wrote {count} track rows to {args.out}")
+    _report(f"wrote {count} track rows to {args.out}")
     return EXIT_OK
 
 
@@ -152,17 +161,17 @@ def cmd_experiment(args):
     os.makedirs(args.out_dir, exist_ok=True)  # a bad one fails before any run
     _print_config(args, runs)
     if header:
-        print(header)
+        _report(header)
     for subdir, label, tracker, reid in runs:
         r, stats, _ = evaluation.run_experiment(
             scenarios[scenario], tracker, reid, reid_enabled=reid is not None,
             seed=args.seed, out_dir=os.path.join(args.out_dir, subdir))
         if reid is not None:
-            print(f"{label} {evaluation.PRECISION_KEY} {r.ap:.3f}")
+            _report(f"{label} {evaluation.PRECISION_KEY} {r.ap:.3f}")
         else:  # a run without re-ID reports its range accuracy
-            print("bin_lo bin_hi count mae", *(
+            _report("bin_lo bin_hi count mae", *(
                 f"{b['lo']:g} {b['hi']:g} {b['count']} "
-                f"{b['mean_abs_error']:.4f}" for b in stats.bins), sep="\n")
+                f"{b['mean_abs_error']:.4f}" for b in stats.bins))
     return EXIT_OK
 
 
@@ -170,7 +179,7 @@ def cmd_validate_config(args):
     load = {"scenario": seqio.load_scenario,
             "calibration": seqio.load_calibration}[args.kind]
     load(args.path)
-    print(f"{args.path}: valid {args.kind}")
+    _report(f"{args.path}: valid {args.kind}")
     return EXIT_OK
 
 

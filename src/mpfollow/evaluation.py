@@ -25,10 +25,6 @@ PRECISION_KEY = f"precision@{THRESHOLD_PX:g}px"
 RANGE_BINS = [(0.5, 1.0)] + [(float(a), float(a + 1)) for a in range(1, 7)]
 
 
-class EvaluationError(ValueError):
-    pass
-
-
 @dataclass
 class ReidResult:
     ap: float                         # precision at THRESHOLD_PX
@@ -48,7 +44,7 @@ def reid_precision(frames):
     """
     evaluated = [(est, gt) for _, est, gt in frames if gt is not None]
     if not evaluated:
-        raise EvaluationError("no frames with ground truth")
+        raise ValueError("no frames with ground truth")
     hits = sum(1 for est, gt in evaluated if est is not None
                and math.hypot(est[0] - gt[0], est[1] - gt[1]) <= THRESHOLD_PX)
     return hits / len(evaluated)
@@ -75,9 +71,7 @@ def range_error_stats(pairs) -> RangeErrorStats:
 
 
 def _range(record, xy):
-    """The robot's distance to xy in the frame; None if xy or the pose is."""
-    if xy is None or record.robot_pose is None:
-        return None
+    """The robot's distance to xy in the frame."""
     rx, ry, _ = record.robot_pose
     return math.hypot(xy[0] - rx, xy[1] - ry)
 
@@ -106,12 +100,11 @@ def run_experiment(scenario: Scenario, tracker_cfg=None, reid_cfg=None, seed=0,
         est_center = result.target_box.center if result.target_box else None
         reid_frames.append((record.frame_index, est_center, gt_center))
 
-        true_range = _range(record, record.pedestrian_positions.get(target_id))
+        true_range = _range(record, record.pedestrian_positions[target_id])
         est_range = next((_range(record, (x, y))
                           for _, x, y, box in result.tracks
                           if det and box is det.box), None)
-        if true_range is not None:
-            range_pairs.append((est_range, true_range))
+        range_pairs.append((est_range, true_range))
 
         trace.append({
             "frame_index": record.frame_index,
@@ -120,7 +113,7 @@ def run_experiment(scenario: Scenario, tracker_cfg=None, reid_cfg=None, seed=0,
             "est_center": [round(v, 3) for v in est_center] if est_center else None,
             "gt_center": [round(v, 3) for v in gt_center] if gt_center else None,
             "est_range": round(est_range, 4) if est_range is not None else None,
-            "true_range": round(true_range, 4) if true_range is not None else None,
+            "true_range": round(true_range, 4),
             "n_tracks": len(result.tracks),
         })
 

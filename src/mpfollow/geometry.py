@@ -21,10 +21,6 @@ class GeometryError(ValueError):
     """Invalid geometric input (degenerate box, bad calibration, ...)."""
 
 
-class InvalidDetectionError(GeometryError):
-    """Bounding box unusable for range estimation (zero or negative width)."""
-
-
 class NotVisibleError(GeometryError):
     """Point lies behind or outside the camera frustum."""
 
@@ -119,7 +115,7 @@ class BoundingBox:
 
     def __post_init__(self):
         if not (self.u_br > self.u_tl and self.v_br > self.v_tl):
-            raise InvalidDetectionError(f"degenerate box {self}")
+            raise GeometryError(f"degenerate box {self}")
 
     @property
     def width(self):
@@ -187,10 +183,10 @@ def process_measurements(boxes, intr: CameraIntrinsics, extr: Extrinsics, r: flo
 
 def process_measurement(box: BoundingBox, intr: CameraIntrinsics,
                         extr: Extrinsics, r: float) -> np.ndarray:
-    """The measurement of one box; InvalidDetectionError if not finite."""
+    """The measurement of one box; GeometryError if not finite."""
     y, _ = process_measurements([box], intr, extr, r)
     if not y:
-        raise InvalidDetectionError("non-finite processed measurement")
+        raise GeometryError("non-finite processed measurement")
     return np.array(y[0])
 
 

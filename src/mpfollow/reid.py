@@ -26,20 +26,12 @@ MAX_CAPACITY = 4096  # SampleSet allocates its capacity^2 Gram matrix up front
 MIN_LAM = 1e-12
 
 
-class ReidError(ValueError):
-    pass
-
-
-class UntrainedClassifierError(ReidError):
-    """score() called before any successful training."""
-
-
 def normalize_descriptor(v):
     """Unit-normalize a feature vector; rejects zero and non-finite norms."""
     v = np.asarray(v, dtype=float).reshape(-1)
     norm = np.linalg.norm(v)
     if norm <= 0 or not np.isfinite(norm):
-        raise ReidError("descriptor must be a finite nonzero vector")
+        raise ValueError("descriptor must be a finite nonzero vector")
     return v / norm
 
 
@@ -62,15 +54,15 @@ class ReidConfig:
 
     def __post_init__(self):
         if self.mode not in ("ST", "SLT"):
-            raise ReidError("mode must be ST or SLT")
+            raise ValueError("mode must be ST or SLT")
         for name in ("delta_switch", "delta_id"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ReidError(f"{name} must be in [0, 1]")
-        RidgeClassifier(self.lam)  # the one lam rule: ReidError below MIN_LAM
+                raise ValueError(f"{name} must be in [0, 1]")
+        RidgeClassifier(self.lam)  # the one lam rule: ValueError below MIN_LAM
         if self.n_id < 1 or self.capacity < 1:
-            raise ReidError("n_id and capacity must be at least 1")
+            raise ValueError("n_id and capacity must be at least 1")
         if self.capacity > MAX_CAPACITY:
-            raise ReidError(f"capacity must be at most {MAX_CAPACITY}")
+            raise ValueError(f"capacity must be at most {MAX_CAPACITY}")
 
 
 class SampleSet:
@@ -113,8 +105,8 @@ class SampleSet:
         d = descriptors[0].size if self.X is None else self.X.shape[1]
         for v in descriptors:
             if v.shape != (d,):
-                raise ReidError(f"descriptor of shape {v.shape}, expected "
-                                f"({d},) like the first sample")
+                raise ValueError(f"descriptor of shape {v.shape}, expected "
+                                 f"({d},) like the first sample")
         if self.X is None:
             self.X = np.zeros((len(self.y), d))
         written = set()
@@ -166,10 +158,9 @@ class SampleSet:
         return len(self._short_rows) + len(self._long_rows)
 
 
-def update_samples(sample_set: SampleSet, samples) -> SampleSet:
+def update_samples(sample_set: SampleSet, samples) -> None:
     """Insert labeled samples, honoring the FIFO/reservoir policy in place."""
     sample_set.extend(samples)
-    return sample_set
 
 
 @dataclass
@@ -182,7 +173,7 @@ class RidgeClassifier:
 
     def __post_init__(self):
         if not MIN_LAM <= self.lam < math.inf:
-            raise ReidError(f"lam must be finite and at least {MIN_LAM:g}")
+            raise ValueError(f"lam must be finite and at least {MIN_LAM:g}")
 
     @property
     def trained(self):
@@ -218,7 +209,7 @@ def train(clf: RidgeClassifier, sample_set: SampleSet) -> bool:
 def score(clf: RidgeClassifier, descriptor) -> float:
     """Target score of a descriptor, clamped to [0, 1]."""
     if not clf.trained:
-        raise UntrainedClassifierError("classifier has not been trained")
+        raise ValueError("classifier has not been trained")
     raw = float(clf.w @ descriptor + clf.b)
     return min(1.0, max(0.0, raw))
 

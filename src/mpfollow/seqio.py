@@ -60,12 +60,15 @@ def check_output(path):
 
 
 def write_text(chunks, path):
-    """Write text chunks to path as they come, as open(path, "w") would but
-    for hard links, through a temporary file that then replaces the file
-    path names (a symbolic link's target), with its permission bits if it
-    exists; an OSError names path, and no temporary file is left."""
+    """Write text chunks to path as they come, as open(path, "w") would: a
+    FIFO or a device directly, any other path (a symbolic link's target)
+    through a temporary file renamed onto it with the permission bits of the
+    file it replaces; an OSError names path, no temporary file is left."""
     tmp = None
     try:
+        if os.path.exists(path) and not os.path.isfile(path):  # not realpath,
+            with open(path, "w") as f:  # which for /dev/stdout names no file
+                return f.writelines(chunks)
         real = os.path.realpath(path)
         name = os.path.join(os.path.dirname(real), ".tmp-" + os.urandom(8).hex())
         with open(name, "x") as f:

@@ -329,8 +329,8 @@ def step_plant(pose, command: ControlCommand, dt):
     Uses the exact constant-twist solution, so a fixed (v, omega) traces
     a circular arc to machine precision regardless of dt.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     x, y, theta = pose
     v, w = command.linear_velocity, command.angular_velocity
     if abs(w) < 1e-12:

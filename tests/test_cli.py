@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from mpfollow import evaluation, sim
 from mpfollow.cli import EXIT_OK, EXIT_RUNTIME, EXIT_SCHEMA, EXIT_USAGE, main
 from mpfollow.pipeline import FollowPipeline
 from mpfollow.reid import ReidConfig
-from mpfollow.seqio import load_scenario
+from mpfollow.seqio import load_scenario, write_sequence
 from mpfollow.tracker import TrackerConfig
 
 
@@ -22,13 +23,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv):
-    """The CLI in its own process, so a traceback shows in its stderr."""
+def run_process(*argv, stdout=subprocess.PIPE, env=()):
+    """The CLI in its own process, so a traceback shows in its stderr; env
+    sets environment variables, a None value removing one."""
     src = str(Path(mpfollow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
+        [src, os.environ.get("PYTHONPATH", "")]), **dict(env)}
     return subprocess.run([sys.executable, "-m", "mpfollow.cli", *argv],
-                          env=env, capture_output=True, text=True)
+                          env={k: v for k, v in env.items() if v is not None},
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
 ONE_FRAME_SEQUENCE = (
@@ -1049,3 +1052,77 @@ class TestSetupOrder:
         assert errors[0].endswith(f": '{out}'\n")
         assert sorted(p.name for p in tmp_path.rglob("*")) == [
             "dir", "seq.jsonl"]
+
+
+class TestWhereOutputGoes:
+    @pytest.fixture
+    def sequence(self, tmp_path):
+        # A few frames of room_like: its rows stay under a pipe's 64 KiB.
+        out = tmp_path / "seq.jsonl"
+        write_sequence(sim.generate(
+            sim.builtin_scenarios()["room_like"], 0)[:5], str(out))
+        return out
+
+    @staticmethod
+    def files(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in [root, *root.rglob("*")] if p.is_file()}
+
+    @pytest.mark.parametrize("unbuffered", ["1", None],
+                             ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["experiment", "track"])
+    def test_closed_stdout_ends_only_the_report(self, tmp_path, sequence,
+                                                command, unbuffered):
+        # A reader that has left (as `| head` leaves) fails no run: it writes
+        # every file an ordinary run writes, exits 0 and prints no error.
+        written = []
+        for closed in (False, True):
+            out = tmp_path / f"out-{closed}"
+            argv = {"experiment": ["experiment", "range-accuracy",
+                                   "--print-config", "--out-dir", str(out)],
+                    "track": ["track", str(sequence), "-o", str(out)]}[command]
+            if not closed:
+                proc = run_process(*argv)
+            else:
+                read_end, write_end = os.pipe()
+                os.close(read_end)
+                try:
+                    proc = run_process(*argv, stdout=write_end,
+                                       env={"PYTHONUNBUFFERED": unbuffered})
+                finally:
+                    os.close(write_end)
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+            written.append(self.files(out))
+        assert written[0] and written[0] == written[1]
+
+    def test_fifo_output_is_written_through(self, tmp_path, capsys, sequence):
+        # The FIFO stays one and its reader gets a regular file's bytes;
+        # its reading end is open before the run, so no open() waits.
+        fifo, plain = tmp_path / "fifo", tmp_path / "plain.jsonl"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, stderr = run(capsys, "track", str(sequence), "-o",
+                                  str(fifo))
+            chunks = [os.read(reader, 1 << 16)]
+            while chunks[-1]:
+                chunks.append(os.read(reader, 1 << 16))
+        finally:
+            os.close(reader)
+        assert (code, stderr) == (EXIT_OK, "")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert run(capsys, "track", str(sequence), "-o",
+                   str(plain))[0] == EXIT_OK
+        assert b"".join(chunks) == plain.read_bytes()
+
+    def test_dev_stdout_output_writes_the_rows_there(self, tmp_path, capsys,
+                                                     sequence):
+        plain = tmp_path / "plain.jsonl"
+        assert run(capsys, "track", str(sequence), "--no-reid",
+                   "-o", str(plain))[0] == EXIT_OK
+        proc = run_process("track", str(sequence), "--no-reid",
+                           "-o", "/dev/stdout")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        rows = plain.read_text()
+        assert proc.stdout == (f"{rows}wrote {len(rows.splitlines())} track "
+                               "rows to /dev/stdout\n")

@@ -7,7 +7,6 @@ import pytest
 
 from mpfollow.evaluation import (
     RANGE_BINS,
-    EvaluationError,
     metrics_lines,
     range_error_stats,
     reid_precision,
@@ -46,7 +45,7 @@ class TestReidPrecision:
         assert reid_precision(frames) == reid_precision(shuffled)
 
     def test_no_gt_raises(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(ValueError, match="^no frames with ground truth$"):
             reid_precision([(0, (1.0, 1.0), None)])
 
 

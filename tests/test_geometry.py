@@ -9,7 +9,6 @@ from mpfollow.geometry import (
     CameraIntrinsics,
     Extrinsics,
     GeometryError,
-    InvalidDetectionError,
     NotVisibleError,
     build_observation_model,
     estimate_depth,
@@ -54,7 +53,7 @@ class TestEstimateDepth:
         assert all(a > b for a, b in zip(depths, depths[1:]))
 
     def test_degenerate_box_rejected(self):
-        with pytest.raises(InvalidDetectionError):
+        with pytest.raises(GeometryError, match="^degenerate box "):
             BoundingBox(150, 0, 100, 100)
 
     def test_nonpositive_radius_rejected(self, intr):
@@ -146,7 +145,8 @@ class TestProcessMeasurement:
                 assert np.array_equal(y, process_measurement(
                     boxes[k], wide_intr, extr, r))
                 assert np.array_equal(y, numpy_scalars(boxes[k], extr, r))
-            with pytest.raises(InvalidDetectionError):
+            with pytest.raises(GeometryError,
+                               match="^non-finite processed measurement$"):
                 process_measurement(infinite, wide_intr, extr, r)
 
 
@@ -236,10 +236,12 @@ class TestProjectPerson:
 
 class TestValidation:
     def test_intrinsics_invariants(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="^focal lengths"):
             CameraIntrinsics(-1, 500, 320, 240, 640, 480)
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="^c_x must lie inside"):
             CameraIntrinsics(500, 500, 700, 240, 640, 480)
+        with pytest.raises(GeometryError, match="^c_y must lie inside"):
+            CameraIntrinsics(500, 500, 320, 480, 640, 480)
 
     def test_pose_extrinsics_rotations_are_valid(self):
         # The pose path skips re-validation; its rotations must still pass it.
@@ -264,6 +266,9 @@ class TestValidation:
         np.testing.assert_array_equal(scaled.R_robot_cam, np.eye(3) * 2)
         with pytest.raises(GeometryError, match="R_robot_cam is not orthonormal"):
             FollowPipeline(wide_intr, mount=scaled)
+        flat = robot_pose_extrinsics(0.0, 0.0, 0.0, R_robot_cam=np.eye(2))
+        with pytest.raises(GeometryError, match="^R_robot_cam must be 3x3$"):
+            FollowPipeline(wide_intr, mount=flat)
         extr = robot_pose_extrinsics(0.0, 0.0, 0.0, R_robot_cam=np.eye(3),
                                      t_robot_cam=[0, 0, 1])
         np.testing.assert_array_equal(extr.t_robot_cam, [0.0, 0.0, 1.0])

@@ -17,10 +17,8 @@ from mpfollow.reid import (
     FollowerState,
     PassthroughExtractor,
     ReidConfig,
-    ReidError,
     RidgeClassifier,
     SampleSet,
-    UntrainedClassifierError,
     label_frame_samples,
     normalize_descriptor,
     score,
@@ -108,7 +106,8 @@ class TestDescriptors:
         np.testing.assert_allclose(v, [1, 0, 0, 0])
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ReidError):
+        with pytest.raises(ValueError, match="^descriptor must be a finite "
+                           "nonzero vector$"):
             normalize_descriptor([0.0, 0.0])
 
     def test_scaling_invariance(self):
@@ -152,15 +151,21 @@ class TestReidConfig:
         # capacity of 1,000,000 that is 7.28 TiB. Only configs are built here.
         ReidConfig(capacity=MAX_CAPACITY)
         for capacity in (MAX_CAPACITY + 1, 1_000_000):
-            with pytest.raises(ReidError, match="^capacity must be at most "
+            with pytest.raises(ValueError, match="^capacity must be at most "
                                f"{MAX_CAPACITY}$"):
                 ReidConfig(capacity=capacity)
+
+    @pytest.mark.parametrize("mode", ["st", "LT", "", None])
+    def test_mode_is_st_or_slt(self, mode):
+        # The CLI's --mode choices refuse these before any config is built.
+        with pytest.raises(ValueError, match="^mode must be ST or SLT$"):
+            ReidConfig(mode=mode)
 
     def test_lam_floor(self):
         ReidConfig(lam=MIN_LAM)
         for lam in (np.nextafter(MIN_LAM, 0), 1e-16, 1e-300, 0.0, -1.0,
                     math.nan, math.inf):
-            with pytest.raises(ReidError, match="^lam must be finite and at "
+            with pytest.raises(ValueError, match="^lam must be finite and at "
                                f"least {MIN_LAM:g}$"):
                 ReidConfig(lam=lam)
 
@@ -169,7 +174,7 @@ class TestReidConfig:
         # One rule at both entries: at 1e-16, train on an SLT set holding
         # one target and one negative sample hit a singular solve.
         RidgeClassifier(lam=MIN_LAM)
-        with pytest.raises(ReidError, match="^lam must be finite and at "
+        with pytest.raises(ValueError, match="^lam must be finite and at "
                            f"least {MIN_LAM:g}$"):
             RidgeClassifier(lam=lam)
 
@@ -235,13 +240,15 @@ class TestSampleSet:
 
     def test_descriptor_length_fixed_by_first(self):
         ss = SampleSet(8)
-        with pytest.raises(ReidError):   # a refused batch fixes nothing
+        shape = "^descriptor of shape "
+        # A refused batch fixes nothing.
+        with pytest.raises(ValueError, match=shape):
             update_samples(ss, [make_sample([1, 0], 1),
                                 make_sample([1, 0, 0], 1)])
         fill(ss, [make_sample([1, 0, 0], 1)])
-        with pytest.raises(ReidError):
+        with pytest.raises(ValueError, match=shape):
             ss.add(make_sample([1, 0], 0))
-        with pytest.raises(ReidError):
+        with pytest.raises(ValueError, match=shape):
             update_samples(ss, [make_sample([0, 1, 0], 0),
                                 make_sample([0, 1, 0, 0], 0)])
         assert len(ss) == 1
@@ -453,7 +460,8 @@ class TestScore:
         assert score(clf, np.array([-1.0])) == 0.0
 
     def test_untrained_raises(self):
-        with pytest.raises(UntrainedClassifierError):
+        with pytest.raises(ValueError,
+                           match="^classifier has not been trained$"):
             score(RidgeClassifier(), np.array([1.0]))
 
 

@@ -239,9 +239,12 @@ class TestSequenceErrors:
         assert sum(len(f.detections) for f in frames) > 0
 
     def test_increasing_timestamps_accepted(self, tmp_path):
+        # Blank and whitespace-only lines between and after them are skipped.
         p = tmp_path / "ok.jsonl"
         p.write_text('{"frame_index": 0, "timestamp": -1.0, "detections": []}\n'
-                     '{"frame_index": 1, "timestamp": 0.25, "detections": []}\n')
+                     '\n \t\r\n'
+                     '{"frame_index": 1, "timestamp": 0.25, "detections": []}\n'
+                     '  \n')
         assert [f.timestamp for f in read_sequence(str(p))] == [-1.0, 0.25]
 
 

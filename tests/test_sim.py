@@ -122,6 +122,10 @@ class TestGenerate:
             generate(simple_scenario(similarity=1.5), seed=0)
         with pytest.raises(ScenarioError, match="target_id"):
             generate(simple_scenario(target_id=9), seed=0)
+        with pytest.raises(ScenarioError, match="pedestrians.*duplicate ids"):
+            generate(simple_scenario(pedestrians=[
+                Pedestrian(id=0, waypoints=[(0.0, 3.0, 0.0)]),
+                Pedestrian(id=0, waypoints=[(0.0, 4.0, 1.0)])]), seed=0)
         with pytest.raises(ScenarioError, match="waypoints"):
             generate(simple_scenario(pedestrians=[
                 Pedestrian(id=0, waypoints=[(2.0, 0.0, 0.0),
@@ -246,6 +250,12 @@ class TestStepPlant:
                           2 * math.pi / w)
         assert pose[0] == pytest.approx(0.0, abs=1e-9)
         assert pose[1] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.1])
+    def test_dt_must_be_positive_and_finite(self, dt):
+        with pytest.raises(ValueError,
+                           match="^dt must be positive and finite$"):
+            step_plant((0.0, 0.0, 0.0), ControlCommand(1.0, 0.5), dt)
 
     def test_invariant_to_substepping(self):
         cmd = ControlCommand(0.7, -0.9)

@@ -18,7 +18,6 @@ from mpfollow import geometry, seqio, sim, tracker
 from mpfollow.geometry import (
     BoundingBox,
     GeometryError,
-    InvalidDetectionError,
     build_observation_model,
     iou,
     process_measurement,
@@ -480,7 +479,7 @@ class ReferenceTracker(Tracker):
                 measurements.append(
                     process_measurement(box, self.intr, self.extr, cfg.r_body))
                 boxes.append(box)
-            except InvalidDetectionError:
+            except GeometryError:
                 continue
         self.tracks = [reference_predict(t, dt) for t in self.tracks]
         pairs, unmatched_t, unmatched_m = reference_associate(
